@@ -28,7 +28,7 @@ def build_rips(points, max_edge_length: float, max_dim: int) -> SimplexTree:
     lexicographic and duplicate-free, and the result is closed and
     monotone by construction.
     """
-    if max_edge_length < 0:
+    if not max_edge_length >= 0:
         raise ValueError("max_edge_length must be non-negative")
     if max_dim < 0:
         raise ValueError("max_dim must be non-negative")
@@ -39,6 +39,8 @@ def build_rips(points, max_edge_length: float, max_dim: int) -> SimplexTree:
         return tree
     if pts.ndim != 2:
         raise DimensionMismatch("points must form an (n, d) array")
+    if not np.isfinite(pts).all():
+        raise ValueError("point coordinates must be finite")
     n = len(pts)
     dist = pairwise_distances(pts)
     upper = [

@@ -34,7 +34,8 @@ def _data_lines(path):
 
 
 def read_points(path) -> np.ndarray:
-    """Load a point cloud; every line must have the same arity."""
+    """Load a point cloud; every line must have the same arity and every
+    coordinate must be finite."""
     rows: list[list[float]] = []
     width = None
     for lineno, line in _data_lines(path):
@@ -42,6 +43,8 @@ def read_points(path) -> np.ndarray:
             coords = [float(tok) for tok in line.split()]
         except ValueError as exc:
             raise ParseError(f"bad coordinate ({exc})", path=path, line=lineno)
+        if not all(map(math.isfinite, coords)):
+            raise ParseError("coordinates must be finite", path=path, line=lineno)
         if width is None:
             width = len(coords)
         elif len(coords) != width:
@@ -69,7 +72,7 @@ def read_filtration(path) -> SimplexTree:
             verts = [int(tok) for tok in tokens[1:]]
         except ValueError as exc:
             raise ParseError(f"bad token ({exc})", path=path, line=lineno)
-        if math.isnan(value) or math.isinf(value):
+        if not math.isfinite(value):
             raise ParseError("filtration value must be finite", path=path, line=lineno)
         if any(v < 0 for v in verts):
             raise ParseError("vertex ids must be non-negative", path=path, line=lineno)

@@ -6,6 +6,10 @@ block before the first one is filled; instead, each block is traversed
 upward to its inclusion-maximal members and each maximal member then emits
 its faces depth-first, so a simplex that closes a hole follows the faces
 it needs as soon as possible and incident maximal simplices stay adjacent.
+
+The upward incidence of a block is gathered from its members' own
+boundaries, never by a coface query on the whole complex, so reordering a
+block costs time linear in its size times the dimension.
 """
 from __future__ import annotations
 
@@ -44,17 +48,22 @@ def reorder_slab(
 ) -> list[Simplex]:
     """Permute one block: upward pass to maximal members, downward emit.
 
-    Per listed simplex, an upward depth-first walk (within the block)
-    collects its inclusion-maximal cofaces in traversal order; from each,
-    a downward depth-first walk emits faces before the simplex that needs
-    them. Both walks stop at nodes already flagged for that direction, so
-    each incidence edge inside the block is walked at most twice overall.
-    ``edge_traversals`` optionally collects per-edge walk counts.
+    The block's upward incidence (member face to member cofacets, in
+    lexicographic order) is built once from the members' boundaries while
+    they are validated. Per listed simplex, an upward depth-first walk
+    over it collects the inclusion-maximal cofaces in traversal order;
+    from each, a downward depth-first walk emits faces before the simplex
+    that needs them. Both walks stop at nodes already flagged for that
+    direction, so each incidence edge inside the block is walked at most
+    twice overall, and the cost is linear in the block size times the
+    dimension. ``edge_traversals`` optionally collects per-edge walk
+    counts.
     """
     members = set(slab.simplices)
     if len(members) != len(slab.simplices):
         raise ValueError("duplicate simplices in slab")
     value = slab.value
+    up: dict[Simplex, list[Simplex]] = {}
     for simplex in slab.simplices:
         if complex.value(simplex) != value:
             raise ValueError(
@@ -62,11 +71,15 @@ def reorder_slab(
             )
         if len(simplex) > 1:
             for face, _ in complex.boundary(simplex):
-                if complex.value(face) == value and face not in members:
+                if face in members:
+                    up.setdefault(face, []).append(simplex)
+                elif complex.value(face) == value:
                     raise SlabNotRelativelyClosed(
                         f"face {face} of {simplex} shares value {value} "
                         "but is outside the slab"
                     )
+    for cofaces in up.values():
+        cofaces.sort()
 
     up_seen: set[Simplex] = set()
     down_seen: set[Simplex] = set()
@@ -79,15 +92,12 @@ def reorder_slab(
 
     def climb(simplex: Simplex, maximal: list[Simplex]) -> None:
         up_seen.add(simplex)
-        has_coface = False
-        for coface in complex.cofacets(simplex, (value, value)):
-            if coface not in members:
-                continue
+        cofaces = up.get(simplex, ())
+        for coface in cofaces:
             record(simplex, coface)
-            has_coface = True
             if coface not in up_seen:
                 climb(coface, maximal)
-        if not has_coface:
+        if not cofaces:
             maximal.append(simplex)
 
     def descend(simplex: Simplex) -> None:

@@ -53,12 +53,14 @@ class SimplexTree:
         """Store one simplex; re-insertion keeps the smaller value.
 
         Faces are not created implicitly: closure is validated by
-        finalize(), not repaired here.
+        finalize(), not repaired here. The value must be finite.
         """
         if self._finalized:
             raise RuntimeError("complex is finalized")
         verts = _canonical(vertices)
         value = float(value)
+        if not math.isfinite(value):
+            raise ValueError(f"value {value} of {verts} is not finite")
         children = self._top
         node = None
         for v in verts:
@@ -163,7 +165,10 @@ class SimplexTree:
         value_range: tuple[float, float] | None = None,
     ) -> list[Simplex]:
         """Codimension-1 cofaces, optionally restricted to a closed value
-        interval, in lexicographic order."""
+        interval, in lexicographic order.
+
+        Costs one trie walk per vertex of the complex.
+        """
         verts = tuple(sorted(simplex))
         node = self._walk(verts)
         if node is None or node.value is None:

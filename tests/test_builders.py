@@ -57,6 +57,8 @@ def test_invalid_arguments():
     with pytest.raises(ValueError):
         build_rips([[0.0]], -1.0, 1)
     with pytest.raises(ValueError):
+        build_rips([[0.0]], math.nan, 1)
+    with pytest.raises(ValueError):
         build_rips([[0.0]], 1.0, -1)
     with pytest.raises(DimensionMismatch):
         pairwise_distances([0.0, 1.0])
@@ -129,3 +131,9 @@ def test_close_complex_noop_on_closed_input():
     before = sorted(t.simplices())
     close_complex(t)
     assert sorted(t.simplices()) == before
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_coordinates_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        build_rips([[0.0, 0.0], [bad, 1.0], [1.0, 0.0]], 2.0, 2)

@@ -109,6 +109,23 @@ def test_parse_error_exits_1(tmp_path, capsys):
     assert "ParseError" in capsys.readouterr().err
 
 
+def test_non_finite_coordinate_exits_1(tmp_path, capsys):
+    pts = tmp_path / "pts.txt"
+    pts.write_text("0.0 0.0\nnan 1.0\n0.0 1.0\n")
+    out = tmp_path / "pts.dgm"
+    code = run_cli(
+        "--input", str(pts),
+        "--format", "points",
+        "--field", "2",
+        "--rips-max-edge", "2.0",
+        "--max-dim", "2",
+        "--output", str(out),
+    )
+    assert code == 1
+    assert "ParseError" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_file_exits_1(tmp_path):
     code = run_cli(
         "--input", str(tmp_path / "nope.flt"), "--format", "filtration", "--field", "2"

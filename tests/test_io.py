@@ -45,6 +45,15 @@ def test_read_points_ragged_rejected(tmp_path):
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_read_points_non_finite_rejected(tmp_path, bad):
+    path = tmp_path / "pts.txt"
+    path.write_text(f"0.0 0.0\n1.0 {bad}\n")
+    with pytest.raises(ParseError, match="finite") as err:
+        read_points(path)
+    assert err.value.line == 2
+
+
 def test_read_filtration_reports_line_numbers(tmp_path):
     path = tmp_path / "bad.flt"
     path.write_text("0.0 0\nnot-a-number 1\n")

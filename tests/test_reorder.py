@@ -1,3 +1,7 @@
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from camph import (
@@ -22,6 +26,7 @@ from tests.fixtures import (
 )
 
 F2 = PrimeField(2)
+DATA = Path(__file__).parent / "data"
 
 
 def test_slab_partition_tiers():
@@ -136,3 +141,27 @@ def test_reorder_preserves_diagrams():
         base, _ = compute_persistence(c, F2, EngineOptions(lazy=False, reorder=False))
         redo, _ = compute_persistence(c, F2, EngineOptions(lazy=False, reorder=True))
         assert diagram_equal(base, redo)
+
+
+def test_reorder_never_scans_the_whole_complex(monkeypatch):
+    def trie_wide_scan(self, *args, **kwargs):
+        raise AssertionError("reordering must not query cofacets of the complex")
+
+    monkeypatch.setattr(SimplexTree, "cofacets", trie_wide_scan)
+    complexes = list(canned_complexes().values())
+    complexes += random_rips_corpus(quantize=True)
+    for c in complexes:
+        reordered_filtration(c)
+
+
+def test_reorder_output_matches_recorded_digests():
+    # recorded while reordering still found in-block cofaces through the
+    # trie-wide SimplexTree.cofacets query; the order must not depend on it
+    def digest(c):
+        return hashlib.sha256(repr(reordered_filtration(c)).encode()).hexdigest()
+
+    recorded = json.loads((DATA / "reorder_order_sha256.json").read_text())
+    canned = {name: digest(c) for name, c in canned_complexes().items()}
+    assert canned == recorded["canned"]
+    quantized = [digest(c) for c in random_rips_corpus(quantize=True)]
+    assert quantized == recorded["random_rips_corpus_quantized"]

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from camph import PrimeField, SimplexTree
@@ -145,3 +147,11 @@ def test_boundary_size_matches_dimension():
         for simplex, _ in c.simplices():
             if len(simplex) > 1:
                 assert len(c.boundary(simplex)) == len(simplex)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_insert_rejects_non_finite_value(value):
+    t = SimplexTree()
+    with pytest.raises(ValueError, match="finite"):
+        t.insert_simplex([0], value)
+    assert len(t) == 0
