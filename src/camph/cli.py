@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import io as formats
@@ -26,21 +25,6 @@ EXIT_INTERNAL = 2
 EXIT_ORACLE = 3
 
 _INPUT_ERRORS = (CompositeModulus, ValueError, OSError)
-
-
-@dataclass
-class CliConfig:
-    input_path: str
-    input_format: str  # "points" | "filtration"
-    field_p: int
-    rips_max_edge: float | None = None
-    max_dim: int | None = None
-    lazy: bool = True
-    reorder: bool = True
-    stats: bool = False
-    oracle_check: bool = False
-    output_path: str | None = None
-    emit_zero_length: bool = False
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -109,22 +93,23 @@ def _print_diff(engine_d: PersistenceDiagram, oracle_d: PersistenceDiagram) -> N
             )
 
 
-def run(config: CliConfig) -> int:
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed command line; returns the exit code."""
     try:
-        field = PrimeField(config.field_p)
-        if config.input_format == "points":
-            if config.rips_max_edge is None or config.max_dim is None:
+        field = PrimeField(args.field)
+        if args.format == "points":
+            if args.rips_max_edge is None or args.max_dim is None:
                 _fail("points input requires --rips-max-edge and --max-dim")
                 return EXIT_INPUT
-            points = formats.read_points(config.input_path)
-            complex = build_rips(points, config.rips_max_edge, config.max_dim)
+            points = formats.read_points(args.input)
+            complex = build_rips(points, args.rips_max_edge, args.max_dim)
         else:
-            complex = formats.read_filtration(config.input_path)
+            complex = formats.read_filtration(args.input)
         options = EngineOptions(
-            lazy=config.lazy,
-            reorder=config.reorder,
-            record_stats=config.stats,
-            emit_zero_length=config.emit_zero_length,
+            lazy=args.lazy,
+            reorder=args.reorder,
+            record_stats=args.stats,
+            emit_zero_length=args.emit_zero_length,
         )
         diagram, stats = compute_persistence(complex, field, options)
     except _INPUT_ERRORS as exc:
@@ -135,21 +120,21 @@ def run(config: CliConfig) -> int:
         return EXIT_INTERNAL
 
     text = formats.format_diagram(diagram)
-    if config.output_path:
-        Path(config.output_path).write_text(text, encoding="utf-8")
+    if args.output:
+        Path(args.output).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
-    if config.stats:
+    if args.stats:
         stats_text = format_stats(stats)
-        if config.output_path:
-            Path(config.output_path + ".stats").write_text(stats_text, encoding="utf-8")
+        if args.output:
+            Path(args.output + ".stats").write_text(stats_text, encoding="utf-8")
         else:
             sys.stderr.write(stats_text)
 
-    if config.oracle_check:
+    if args.oracle:
         oracle_diagram = oracle_reduce(
-            complex, field, emit_zero_length=config.emit_zero_length
+            complex, field, emit_zero_length=args.emit_zero_length
         )
         if not diagram_equal(diagram, oracle_diagram):
             _print_diff(diagram, oracle_diagram)
@@ -158,21 +143,7 @@ def run(config: CliConfig) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    config = CliConfig(
-        input_path=args.input,
-        input_format=args.format,
-        field_p=args.field,
-        rips_max_edge=args.rips_max_edge,
-        max_dim=args.max_dim,
-        lazy=args.lazy,
-        reorder=args.reorder,
-        stats=args.stats,
-        oracle_check=args.oracle,
-        output_path=args.output,
-        emit_zero_length=args.emit_zero_length,
-    )
-    return run(config)
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -25,10 +25,10 @@ from .annotations import (
     sum_annotations,
 )
 from .diagram import PersistenceDiagram, PersistencePair
-from .errors import MissingFace, SlotAlreadyAssigned
+from .errors import MissingFace, SlotAlreadyAssigned, UnassignedSlot
 from .field import OpCountingField, PrimeField
 from .reorder import reordered_filtration
-from .simplex_tree import Simplex, SimplexTree
+from .simplex_tree import SimplexTree
 from .stats import RunStats, StatsCollector
 
 
@@ -63,6 +63,8 @@ class PersistenceEngine:
     """Drives one filtration over one coefficient field.
 
     Strictly sequential; independent runs may share the (frozen) complex.
+    Simplices are addressed by their filtration keys, which also serve as
+    the annotation matrices' slots.
     """
 
     def __init__(
@@ -78,14 +80,14 @@ class PersistenceEngine:
         if self.options.record_stats and not isinstance(field, OpCountingField):
             field = OpCountingField(field.p)
         self.field = field
+        self._simplex_of = complex.simplex_of
+        self._value_of = complex.value_of
+        self._faces_of = complex.faces_of
         self._matrices: dict[int, CompressedAnnotationMatrix] = {}
-        self._slots: dict[Simplex, int] = {}
-        self._slot_counts: dict[int, int] = {}
-        # per dimension: live row -> (creator simplex, birth value, seq no)
-        self._creators: dict[int, dict[int, tuple[Simplex, float, int]]] = {}
+        # per dimension: live row -> creator key
+        self._creators: dict[int, dict[int, int]] = {}
         self._pairs: list[PersistencePair] = []
-        self._marked: dict[Simplex, int] = {}  # simplex -> reserved row
-        self._seq = 0
+        self._marked: dict[int, int] = {}  # key -> reserved row
         self._finished = False
         self._collector = StatsCollector() if self.options.record_stats else None
 
@@ -93,22 +95,14 @@ class PersistenceEngine:
     # insertion
 
     def insert(self, simplex) -> InsertionOutcome:
-        """Standard insertion; every face must already be inserted."""
-        simplex = tuple(sorted(simplex))
-        if simplex in self._slots:
-            raise SlotAlreadyAssigned(f"simplex {simplex} was already inserted")
-        self._marked.pop(simplex, None)
-        a_bd = self._boundary_annotation(simplex)
-        if not a_bd:
-            return Created(self._insert_creator(simplex))
-        return self._insert_killer(simplex, a_bd)
+        """Standard insertion; every face must already be inserted or marked."""
+        return self._insert(self.complex.key(simplex), defer=False)
 
     def lazy_evaluation(self, simplex) -> None:
         """Deferred insertion: creators wait until a coface needs them.
 
         A marked simplex goes in directly as a creator, skipping its
-        boundary sum. Otherwise marked boundary faces are recursively
-        forced in first; then a nonzero boundary sum destroys as usual
+        boundary sum. Otherwise a nonzero boundary sum destroys as usual
         while a zero sum only marks the simplex and defers it.
 
         Marking reserves the simplex's row index immediately, so a
@@ -119,42 +113,22 @@ class PersistenceEngine:
         maximal-index row) would pair them differently than the standard
         insertion order does, changing the diagram.
         """
-        simplex = tuple(sorted(simplex))
-        if simplex in self._marked:
-            row = self._marked.pop(simplex)
-            self._insert_creator(simplex, row=row)
-            return
-        if simplex in self._slots:
-            raise SlotAlreadyAssigned(f"simplex {simplex} was already inserted")
-        if len(simplex) > 1:
-            deferred = [
-                face
-                for face, _ in self.complex.boundary(simplex)
-                if face in self._marked
-            ]
-            deferred.sort(key=self._marked.__getitem__)
-            for face in deferred:
-                self.lazy_evaluation(face)
-        a_bd = self._boundary_annotation(simplex)
-        if a_bd:
-            self._insert_killer(simplex, a_bd)
-        else:
-            self._marked[simplex] = self._matrix(len(simplex) - 1).reserve_row()
+        self._insert(self.complex.key(simplex), defer=True)
 
     def finish(self) -> PersistenceDiagram:
         """Flush deferred creators, close essential classes, emit the diagram."""
         if self._finished:
             raise RuntimeError("finish() was already called")
         self._finished = True
-        for simplex in list(self._marked):
-            row = self._marked.pop(simplex)
-            self._insert_creator(simplex, row=row)
+        for key in list(self._marked):
+            self._insert_creator(key, self._marked.pop(key))
         pairs = list(self._pairs)
         for dim in sorted(self._creators):
             rows = self._creators[dim]
             for row in sorted(rows):
-                creator, birth, _ = rows[row]
-                pairs.append(PersistencePair(dim, birth, math.inf, creator, None))
+                creator = rows[row]
+                simplex, birth = self._simplex_of[creator], self._value_of[creator]
+                pairs.append(PersistencePair(dim, birth, math.inf, simplex))
         if not self.options.emit_zero_length:
             pairs = [q for q in pairs if q.birth != q.death]
         return PersistenceDiagram(pairs)
@@ -163,14 +137,11 @@ class PersistenceEngine:
     # observations
 
     def is_marked(self, simplex) -> bool:
-        return tuple(sorted(simplex)) in self._marked
+        return self.complex.key(simplex) in self._marked
 
     def live_cocycle_count(self, dim: int) -> int:
         matrix = self._matrices.get(dim)
         return matrix.live_row_count if matrix is not None else 0
-
-    def live_cocycle_counts(self) -> dict[int, int]:
-        return {d: m.live_row_count for d, m in self._matrices.items()}
 
     def stats(self) -> RunStats:
         ops = self.field.ops if isinstance(self.field, OpCountingField) else 0
@@ -188,53 +159,76 @@ class PersistenceEngine:
             self._matrices[dim] = matrix
         return matrix
 
-    def _new_slot(self, simplex: Simplex) -> int:
-        dim = len(simplex) - 1
-        slot = self._slot_counts.get(dim, 0)
-        self._slot_counts[dim] = slot + 1
-        self._slots[simplex] = slot
-        return slot
+    def _insert(self, key: int, defer: bool) -> InsertionOutcome | None:
+        """The one insertion core behind insert() and lazy_evaluation().
 
-    def _boundary_annotation(self, simplex: Simplex) -> AnnotationVector:
-        if len(simplex) == 1:
+        Marked boundary faces are forced in first, oldest reserved row
+        first, so the two entry points can be mixed freely. A zero
+        boundary sum then marks the simplex when ``defer`` is set and
+        creates a class otherwise.
+        """
+        row = self._marked.pop(key, None)
+        if row is not None:
+            return Created(self._insert_creator(key, row))
+        marked = self._marked
+        deferred = [face for face in self._faces_of[key] if face in marked]
+        deferred.sort(key=marked.__getitem__)
+        for face in deferred:
+            # through the public method, so that wrappers see every insertion
+            self.lazy_evaluation(self._simplex_of[face])
+        a_bd = self._boundary_annotation(key)
+        dim = len(self._simplex_of[key]) - 1
+        if self._matrix(dim).is_assigned(key):
+            raise SlotAlreadyAssigned(
+                f"simplex {self._simplex_of[key]} was already inserted"
+            )
+        if a_bd:
+            return self._insert_killer(key, a_bd)
+        if defer:
+            marked[key] = self._matrix(dim).reserve_row()
+            return None
+        return Created(self._insert_creator(key))
+
+    def _boundary_annotation(self, key: int) -> AnnotationVector:
+        faces = self._faces_of[key]
+        if not faces:
             return ZERO
-        matrix = self._matrix(len(simplex) - 2)
+        matrix = self._matrix(len(faces) - 2)
         field = self.field
         acc: AnnotationVector = ZERO
-        for face, sign in self.complex.boundary(simplex):
-            slot = self._slots.get(face)
-            if slot is None:
-                raise MissingFace(f"face {face} of {simplex} was never inserted")
-            vec = matrix.find_annotation(slot)
-            if sign < 0:
+        for j, face in enumerate(faces):
+            try:
+                vec = matrix.find_annotation(face)
+            except UnassignedSlot:
+                raise MissingFace(
+                    f"face {self._simplex_of[face]} of {self._simplex_of[key]} "
+                    "was never inserted"
+                ) from None
+            if j % 2:
                 vec = negate_annotation(vec, field)
             acc, _ = sum_annotations(acc, vec, field)
         return acc
 
-    def _insert_creator(self, simplex: Simplex, row: int | None = None) -> int:
-        dim = len(simplex) - 1
-        slot = self._new_slot(simplex)
-        row = self._matrix(dim).create_cocycle(slot, row=row)
-        self._creators.setdefault(dim, {})[row] = (
-            simplex,
-            self.complex.value(simplex),
-            self._seq,
-        )
-        self._seq += 1
+    def _insert_creator(self, key: int, row: int | None = None) -> int:
+        dim = len(self._simplex_of[key]) - 1
+        row = self._matrix(dim).create_cocycle(key, row=row)
+        self._creators.setdefault(dim, {})[row] = key
         self._sample()
         return row
 
-    def _insert_killer(self, simplex: Simplex, a_bd: AnnotationVector) -> Killed:
-        dim = len(simplex) - 1
+    def _insert_killer(self, key: int, a_bd: AnnotationVector) -> Killed:
+        dim = len(self._simplex_of[key]) - 1
         row = self._matrix(dim - 1).kill_cocycle(a_bd)
-        slot = self._new_slot(simplex)
-        self._matrix(dim).assign_zero(slot)
-        creator, birth, _ = self._creators[dim - 1].pop(row)
+        self._matrix(dim).assign_zero(key)
+        creator = self._creators[dim - 1].pop(row)
         pair = PersistencePair(
-            dim - 1, birth, self.complex.value(simplex), creator, simplex
+            dim - 1,
+            self._value_of[creator],
+            self._value_of[key],
+            self._simplex_of[creator],
+            self._simplex_of[key],
         )
         self._pairs.append(pair)
-        self._seq += 1
         self._sample()
         return Killed(row, pair)
 

@@ -41,10 +41,6 @@ class PrimeField:
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.p})"
 
-    def element(self, a: int) -> int:
-        """Canonical representative of an arbitrary integer."""
-        return a % self.p
-
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
 

@@ -36,8 +36,8 @@ def slab_partition(complex: SimplexTree) -> list[IsoSlab]:
     """
     order = complex.filtration_order()
     return [
-        IsoSlab(value, list(group))
-        for value, group in groupby(order, key=complex.value)
+        IsoSlab(value, [order[k] for k in keys])
+        for value, keys in groupby(range(len(order)), key=complex.value_of.__getitem__)
     ]
 
 
@@ -58,71 +58,77 @@ def reorder_slab(
     twice overall, and the cost is linear in the block size times the
     dimension. ``edge_traversals`` optionally collects per-edge walk
     counts.
+
+    The walks run on filtration keys. The cofacets of one face share a
+    dimension, and inside one block keys of one dimension sort as their
+    vertex lists do, so sorted keys give the lexicographic coface order.
     """
-    members = set(slab.simplices)
-    if len(members) != len(slab.simplices):
+    keys = [complex.key(simplex) for simplex in slab.simplices]
+    members = set(keys)
+    if len(members) != len(keys):
         raise ValueError("duplicate simplices in slab")
     value = slab.value
-    up: dict[Simplex, list[Simplex]] = {}
-    for simplex in slab.simplices:
-        if complex.value(simplex) != value:
+    simplex_of = complex.simplex_of
+    value_of = complex.value_of
+    faces_of = complex.faces_of
+    up: dict[int, list[int]] = {}
+    for key in keys:
+        if value_of[key] != value:
             raise ValueError(
-                f"simplex {simplex} does not share the slab value {value}"
+                f"simplex {simplex_of[key]} does not share the slab value {value}"
             )
-        if len(simplex) > 1:
-            for face, _ in complex.boundary(simplex):
-                if face in members:
-                    up.setdefault(face, []).append(simplex)
-                elif complex.value(face) == value:
-                    raise SlabNotRelativelyClosed(
-                        f"face {face} of {simplex} shares value {value} "
-                        "but is outside the slab"
-                    )
+        for face in faces_of[key]:
+            if face in members:
+                up.setdefault(face, []).append(key)
+            elif value_of[face] == value:
+                raise SlabNotRelativelyClosed(
+                    f"face {simplex_of[face]} of {simplex_of[key]} shares value "
+                    f"{value} but is outside the slab"
+                )
     for cofaces in up.values():
         cofaces.sort()
 
-    up_seen: set[Simplex] = set()
-    down_seen: set[Simplex] = set()
-    out: list[Simplex] = []
+    up_seen: set[int] = set()
+    down_seen: set[int] = set()
+    out: list[int] = []
 
-    def record(face: Simplex, coface: Simplex) -> None:
+    def record(face: int, coface: int) -> None:
         if edge_traversals is not None:
-            key = (face, coface)
-            edge_traversals[key] = edge_traversals.get(key, 0) + 1
+            edge = (simplex_of[face], simplex_of[coface])
+            edge_traversals[edge] = edge_traversals.get(edge, 0) + 1
 
-    def climb(simplex: Simplex, maximal: list[Simplex]) -> None:
-        up_seen.add(simplex)
-        cofaces = up.get(simplex, ())
+    def climb(key: int, maximal: list[int]) -> None:
+        up_seen.add(key)
+        cofaces = up.get(key, ())
         for coface in cofaces:
-            record(simplex, coface)
+            record(key, coface)
             if coface not in up_seen:
                 climb(coface, maximal)
         if not cofaces:
-            maximal.append(simplex)
+            maximal.append(key)
 
-    def descend(simplex: Simplex) -> None:
-        down_seen.add(simplex)
-        if len(simplex) > 1:
-            for face, _ in complex.boundary(simplex):
-                if face in members:
-                    record(face, simplex)
-                    if face not in down_seen:
-                        descend(face)
-                # faces below the slab value are already inserted
-        out.append(simplex)
+    def descend(key: int) -> None:
+        down_seen.add(key)
+        for face in faces_of[key]:
+            if face in members:
+                record(face, key)
+                if face not in down_seen:
+                    descend(face)
+            # faces below the slab value are already inserted
+        out.append(key)
 
-    for simplex in slab.simplices:
-        if simplex in up_seen:
+    for key in keys:
+        if key in up_seen:
             continue
-        maximal: list[Simplex] = []
-        climb(simplex, maximal)
+        maximal: list[int] = []
+        climb(key, maximal)
         for top in maximal:
             if top not in down_seen:
                 descend(top)
 
     if len(out) != len(members) or set(out) != members:
         raise InvariantViolation("reordering lost or duplicated simplices")
-    return out
+    return [simplex_of[key] for key in out]
 
 
 def reordered_filtration(complex: SimplexTree) -> list[Simplex]:

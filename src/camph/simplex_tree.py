@@ -1,27 +1,19 @@
-"""Filtered simplicial complexes stored as a simplex tree.
+"""Filtered simplicial complexes keyed by sorted vertex tuples.
 
-The tree is a trie over ascending vertex lists: every stored word is one
-simplex together with its filtration value. Incidence is never
-materialized; boundary faces and codimension-1 cofaces are recovered by
-trie walks on demand, which keeps storage linear in the number of
-simplices.
+While building, the complex is a dict from each simplex's ascending
+vertex tuple to its filtration value. finalize() sorts it into filtration
+order once and numbers it: a simplex's key is its filtration position,
+and per-key views give each key's vertex tuple, value and boundary face
+keys, so the engine and the reordering never look a simplex up again.
 """
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import ClosureViolation, MonotonicityViolation, UnknownSimplex
 
 Simplex = tuple[int, ...]
-
-
-class _Node:
-    __slots__ = ("children", "value")
-
-    def __init__(self):
-        self.children: dict[int, _Node] = {}
-        self.value: float | None = None
 
 
 def _canonical(vertices: Iterable[int]) -> Simplex:
@@ -37,14 +29,22 @@ def _canonical(vertices: Iterable[int]) -> Simplex:
 
 
 class SimplexTree:
-    """A filtered complex: mutable while building, frozen by finalize()."""
+    """A filtered complex: mutable while building, frozen by finalize().
+
+    finalize() also fills three read-only views indexed by key:
+    ``simplex_of`` (the vertex tuple), ``value_of`` (the filtration value)
+    and ``faces_of`` (the boundary face keys, face j omitting vertex j and
+    carrying the sign (-1)**j; empty for vertices).
+    """
 
     def __init__(self):
-        self._top: dict[int, _Node] = {}
+        self._values: dict[Simplex, float] = {}
+        self._keys: dict[Simplex, int] = {}
         self._finalized = False
-        self._size = 0
         self._dim = -1
-        self._order: list[Simplex] | None = None
+        self.simplex_of: tuple[Simplex, ...] = ()
+        self.value_of: tuple[float, ...] = ()
+        self.faces_of: tuple[tuple[int, ...], ...] = ()
 
     # ------------------------------------------------------------------
     # construction
@@ -61,45 +61,51 @@ class SimplexTree:
         value = float(value)
         if not math.isfinite(value):
             raise ValueError(f"value {value} of {verts} is not finite")
-        children = self._top
-        node = None
-        for v in verts:
-            node = children.get(v)
-            if node is None:
-                node = children[v] = _Node()
-            children = node.children
-        if node.value is None:
-            node.value = value
-            self._size += 1
-            if len(verts) - 1 > self._dim:
-                self._dim = len(verts) - 1
-        elif value < node.value:
-            node.value = value
+        old = self._values.get(verts)
+        if old is None or value < old:
+            self._values[verts] = value
+        self._dim = max(self._dim, len(verts) - 1)
 
     def finalize(self) -> None:
-        """Validate closure under faces and value monotonicity, then freeze."""
+        """Validate closure under faces and value monotonicity, then freeze.
+
+        Simplices are numbered in filtration order. In a valid filtration
+        every face comes earlier, so a face without a key is either
+        missing or valued above its coface.
+        """
         if self._finalized:
             return
-        for simplex, value in self.simplices():
-            if len(simplex) == 1:
-                continue
-            for j in range(len(simplex)):
-                face = simplex[:j] + simplex[j + 1 :]
-                node = self._walk(face)
-                if node is None or node.value is None:
-                    raise ClosureViolation(
-                        f"simplex {simplex} is stored but its face {face} is not"
-                    )
-                if node.value > value:
-                    raise MonotonicityViolation(
-                        f"face {face} has value {node.value} above "
-                        f"value {value} of its coface {simplex}"
-                    )
-        self._order = sorted(
-            (s for s, _ in self.simplices()),
-            key=lambda s: (self.value(s), len(s), s),
-        )
+        order = sorted(self._values, key=lambda s: (self._values[s], len(s), s))
+        keys: dict[Simplex, int] = {}
+        faces = []
+        for key, simplex in enumerate(order):
+            face_keys = []
+            if len(simplex) > 1:
+                for j in range(len(simplex)):
+                    face = simplex[:j] + simplex[j + 1 :]
+                    face_key = keys.get(face)
+                    if face_key is None:
+                        self._raise_bad_face(simplex, face)
+                    face_keys.append(face_key)
+            keys[simplex] = key
+            faces.append(tuple(face_keys))
+        self._keys = keys
+        self.simplex_of = tuple(order)
+        self.value_of = tuple(self._values[s] for s in order)
+        self.faces_of = tuple(faces)
         self._finalized = True
+
+    def _raise_bad_face(self, simplex: Simplex, face: Simplex) -> None:
+        value = self._values[simplex]
+        face_value = self._values.get(face)
+        if face_value is None:
+            raise ClosureViolation(
+                f"simplex {simplex} is stored but its face {face} is not"
+            )
+        raise MonotonicityViolation(
+            f"face {face} has value {face_value} above "
+            f"value {value} of its coface {simplex}"
+        )
 
     # ------------------------------------------------------------------
     # queries
@@ -113,34 +119,24 @@ class SimplexTree:
         return self._dim
 
     def __len__(self) -> int:
-        return self._size
+        return len(self._values)
 
     def __contains__(self, simplex: Iterable[int]) -> bool:
-        node = self._walk(tuple(sorted(simplex)))
-        return node is not None and node.value is not None
+        return tuple(sorted(simplex)) in self._values
 
     def vertices(self) -> list[int]:
-        return sorted(v for v, n in self._top.items() if n.value is not None)
+        return sorted(s[0] for s in self._values if len(s) == 1)
 
     def value(self, simplex: Iterable[int]) -> float:
         verts = tuple(sorted(simplex))
-        node = self._walk(verts)
-        if node is None or node.value is None:
+        value = self._values.get(verts)
+        if value is None:
             raise UnknownSimplex(f"simplex {verts} is not in the complex")
-        return node.value
+        return value
 
-    def simplices(self) -> Iterator[tuple[Simplex, float]]:
-        """All simplices with their values, in depth-first trie order."""
-
-        def walk(prefix: Simplex, children: dict[int, _Node]):
-            for v in sorted(children):
-                node = children[v]
-                word = prefix + (v,)
-                if node.value is not None:
-                    yield word, node.value
-                yield from walk(word, node.children)
-
-        yield from walk((), self._top)
+    def simplices(self) -> list[tuple[Simplex, float]]:
+        """All simplices with their values, in lexicographic order."""
+        return sorted(self._values.items())
 
     def boundary(self, simplex: Iterable[int]) -> list[tuple[Simplex, int]]:
         """Codimension-1 faces with alternating signs.
@@ -149,8 +145,7 @@ class SimplexTree:
         empty boundary.
         """
         verts = tuple(sorted(simplex))
-        node = self._walk(verts)
-        if node is None or node.value is None:
+        if verts not in self._values:
             raise UnknownSimplex(f"simplex {verts} is not in the complex")
         if len(verts) == 1:
             return []
@@ -167,21 +162,20 @@ class SimplexTree:
         """Codimension-1 cofaces, optionally restricted to a closed value
         interval, in lexicographic order.
 
-        Costs one trie walk per vertex of the complex.
+        Costs one lookup per vertex of the complex.
         """
         verts = tuple(sorted(simplex))
-        node = self._walk(verts)
-        if node is None or node.value is None:
+        if verts not in self._values:
             raise UnknownSimplex(f"simplex {verts} is not in the complex")
         lo, hi = value_range if value_range is not None else (-math.inf, math.inf)
         present = set(verts)
         out = []
-        for v in sorted(self._top):
+        for v in self.vertices():
             if v in present:
                 continue
             coface = tuple(sorted(verts + (v,)))
-            cnode = self._walk(coface)
-            if cnode is not None and cnode.value is not None and lo <= cnode.value <= hi:
+            value = self._values.get(coface)
+            if value is not None and lo <= value <= hi:
                 out.append(coface)
         out.sort()
         return out
@@ -193,16 +187,14 @@ class SimplexTree:
         """
         if not self._finalized:
             raise RuntimeError("filtration_order() requires a finalized complex")
-        return list(self._order)
+        return list(self.simplex_of)
 
-    # ------------------------------------------------------------------
-
-    def _walk(self, verts: Simplex) -> _Node | None:
-        children = self._top
-        node = None
-        for v in verts:
-            node = children.get(v)
-            if node is None:
-                return None
-            children = node.children
-        return node
+    def key(self, simplex: Iterable[int]) -> int:
+        """The simplex's filtration position; available after finalize()."""
+        if not self._finalized:
+            raise RuntimeError("key() requires a finalized complex")
+        verts = tuple(sorted(simplex))
+        key = self._keys.get(verts)
+        if key is None:
+            raise UnknownSimplex(f"simplex {verts} is not in the complex")
+        return key

@@ -159,6 +159,19 @@ def test_lazy_terminal_flush_emits_essential_classes():
     assert sorted(d.triples()) == [(0, 0.0, math.inf), (0, 1.0, math.inf)]
 
 
+def test_mixed_entry_points_match_oracle():
+    # insert() must force the faces lazy_evaluation() left marked
+    field = PrimeField(3)
+    for name, c in canned_complexes().items():
+        engine = PersistenceEngine(c, field, STANDARD)
+        for i, simplex in enumerate(c.filtration_order()):
+            if i % 2:
+                engine.lazy_evaluation(simplex)
+            else:
+                engine.insert(simplex)
+        assert diagram_equal(engine.finish(), oracle_reduce(c, field)), name
+
+
 def test_killed_row_is_maximal_row_of_boundary():
     for c in random_rips_corpus(count=5, seed=17):
         engine = PersistenceEngine(c, F11, STANDARD)
@@ -166,7 +179,7 @@ def test_killed_row_is_maximal_row_of_boundary():
             if len(simplex) == 1:
                 engine.insert(simplex)
                 continue
-            a_bd = engine._boundary_annotation(simplex)
+            a_bd = engine._boundary_annotation(c.key(simplex))
             outcome = engine.insert(simplex)
             if isinstance(outcome, Killed):
                 assert a_bd and outcome.row == a_bd[-1][0]

@@ -108,6 +108,24 @@ def test_filtration_order_full_triangle():
     ]
 
 
+def test_keys_are_filtration_positions():
+    c = two_adjacent_triangles()
+    order = c.filtration_order()
+    assert [c.key(s) for s in order] == list(range(len(order)))
+    assert c.key((2, 1, 0)) == order.index((0, 1, 2))
+    assert c.simplex_of == tuple(order)
+    assert c.value_of == tuple(c.value(s) for s in order)
+    for key, simplex in enumerate(order):
+        faces = [c.simplex_of[f] for f in c.faces_of[key]]
+        assert faces == [face for face, _ in c.boundary(simplex)]
+    with pytest.raises(UnknownSimplex):
+        c.key((0, 3))
+    t = SimplexTree()
+    t.insert_simplex([0], 0.0)
+    with pytest.raises(RuntimeError):
+        t.key((0,))
+
+
 def test_filtration_order_two_components():
     t = SimplexTree()
     t.insert_simplex([0], 0.0)
