@@ -1,10 +1,14 @@
+import hashlib
+import json
 from collections import Counter
+from pathlib import Path
 
 from camph import (
     EngineOptions,
     PrimeField,
     SimplexTree,
     compute_persistence,
+    format_diagram,
     format_stats,
 )
 
@@ -12,6 +16,7 @@ from tests.fixtures import canned_complexes, full_triangle, random_rips_corpus
 
 F2 = PrimeField(2)
 STANDARD_STATS = EngineOptions(lazy=False, reorder=False, record_stats=True)
+DATA = Path(__file__).parent / "data"
 
 
 def test_empty_complex_all_zero():
@@ -81,3 +86,27 @@ def test_format_stats_layout():
     assert "g_m[0]=3" in lines
     assert "s_m[1]=1" in lines
     assert "g_m[2]=0" in lines
+
+
+def stats_digest(c) -> str:
+    """sha256 over the diagram and ``--stats`` text of every prime and mode."""
+    text = []
+    for p in (2, 3, 7919):
+        field = PrimeField(p)
+        for lazy in (False, True):
+            for reorder in (False, True):
+                options = EngineOptions(lazy=lazy, reorder=reorder, record_stats=True)
+                diagram, stats = compute_persistence(c, field, options)
+                text.append(f"p={p} lazy={lazy} reorder={reorder}\n")
+                text.append(format_diagram(diagram) + format_stats(stats))
+    return hashlib.sha256("".join(text).encode()).hexdigest()
+
+
+def test_diagram_and_stats_bytes_match_recorded_digests():
+    # pins G_m, S_m, matrix_nonzeros_peak and field_ops next to the diagram,
+    # so a change to the matrix's internals cannot move the --stats bytes
+    recorded = json.loads((DATA / "stats_sha256.json").read_text())
+    canned = {name: stats_digest(c) for name, c in canned_complexes().items()}
+    assert canned == recorded["canned"]
+    quantized = [stats_digest(c) for c in random_rips_corpus(quantize=True)]
+    assert quantized == recorded["random_rips_corpus_quantized"]
