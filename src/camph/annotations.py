@@ -4,9 +4,11 @@ An annotation vector assigns one Z_p coefficient to each live cocycle row;
 vectors are sorted tuples of ``(row, coefficient)`` pairs with every
 coefficient nonzero, the empty tuple being the zero vector. One matrix per
 simplex dimension stores each distinct nonzero column exactly once, shares
-columns between simplices through a union-find forest, and threads every
-nonzero entry of a row through a doubly-linked ring so that destroying a
-cocycle touches only the columns that actually meet its row.
+columns between simplices through a union-find forest, and indexes each
+live row by a dict from column to its coefficient there, so that destroying
+a cocycle touches only the columns that actually meet its row (the paper's
+doubly linked row lists, with the same O(1) insert and delete). A class
+whose root owns no column has the zero vector.
 """
 from __future__ import annotations
 
@@ -82,28 +84,18 @@ def negate_annotation(a: AnnotationVector, field: PrimeField) -> AnnotationVecto
     return tuple((r, neg(c)) for r, c in a)
 
 
-class _Entry:
-    """One nonzero matrix entry; doubly linked into its row ring."""
-
-    __slots__ = ("row", "coeff", "column", "prev", "nxt")
-
-    def __init__(self, row: int, coeff: int, column: "_Column | None"):
-        self.row = row
-        self.coeff = coeff
-        self.column = column
-        self.prev = self
-        self.nxt = self
-
-
 class _Column:
-    """One distinct nonzero annotation vector, owned by one class root."""
+    """One distinct nonzero annotation vector, owned by one class root.
 
-    __slots__ = ("key", "entries", "owner")
+    Hashed by identity, so a row dict keyed by columns costs O(1) per
+    operation whatever the vector's length.
+    """
+
+    __slots__ = ("key", "owner")
 
     def __init__(self, key: AnnotationVector, owner: int):
         self.key = key
         self.owner = owner
-        self.entries: list[_Entry] = []
 
 
 class CompressedAnnotationMatrix:
@@ -111,21 +103,21 @@ class CompressedAnnotationMatrix:
 
     Slots are caller-chosen hashable ids (one per simplex). Each slot is
     assigned exactly once, either to a fresh unit column (creation) or to
-    the zero class (destruction); later updates may merge classes whose
-    columns become equal. Row indices grow monotonically and are never
-    reused, so the maximal row of a boundary annotation is always the
-    youngest contributing cocycle.
+    a class of its own without a column (destruction, the zero vector);
+    later updates may merge classes whose columns become equal. Row
+    indices grow monotonically and are never reused, so the maximal row
+    of a boundary annotation is always the youngest contributing cocycle.
     """
 
     def __init__(self, field: PrimeField, debug: bool = False):
         self._field = field
         self._debug = debug
         self._columns: dict[AnnotationVector, _Column] = {}
-        self._rings: dict[int, _Entry] = {}  # live row -> ring sentinel
+        # live row -> {column: its nonzero coefficient in that row}
+        self._rows: dict[int, dict[_Column, int]] = {}
         self._parent: dict[int, int] = {}
         self._rank: dict[int, int] = {}
         self._root_column: dict[int, _Column] = {}  # nonzero class roots only
-        self._zero_root: int | None = None
         self._next_row = 0
         self._nnz = 0
 
@@ -139,7 +131,7 @@ class CompressedAnnotationMatrix:
     @property
     def live_row_count(self) -> int:
         """Rank of the cohomology group currently represented."""
-        return len(self._rings)
+        return len(self._rows)
 
     @property
     def distinct_column_count(self) -> int:
@@ -181,24 +173,19 @@ class CompressedAnnotationMatrix:
         self._make_set(slot)
         if row is None:
             row = self.reserve_row()
-        elif row >= self._next_row or row in self._rings:
+        elif row >= self._next_row or row in self._rows:
             raise InvariantViolation(f"row {row} was not reserved or is live")
-        self._rings[row] = _Entry(row, 0, None)  # sentinel
-        key: AnnotationVector = ((row, 1),)
-        column = _Column(key, slot)
-        entry = _Entry(row, 1, column)
-        column.entries.append(entry)
-        self._link(entry)
-        self._columns[key] = column
+        self._rows[row] = {}
+        column = _Column(((row, 1),), slot)
+        self._store(column)
         self._root_column[slot] = column
         if self._debug:
             self.check_invariants()
         return row
 
     def assign_zero(self, slot) -> None:
-        """Put ``slot`` into the zero-annotation class."""
+        """Give ``slot`` the zero annotation: a class without a column."""
         self._make_set(slot)
-        self._merge_into_zero(slot)
         if self._debug:
             self.check_invariants()
 
@@ -220,35 +207,29 @@ class CompressedAnnotationMatrix:
         a_bd = boundary_annotation
         if not a_bd:
             raise ZeroAnnotation("cannot destroy with the zero annotation")
+        rows = self._rows
         for row, _ in a_bd:
-            if row not in self._rings:
+            if row not in rows:
                 raise InvariantViolation(f"row {row} is not live")
         row_j, c_j = a_bd[-1]
         field = self._field
-        # snapshot the ring: the updates below unlink and relink entries
-        sentinel = self._rings[row_j]
-        targets: list[tuple[_Column, int]] = []
-        entry = sentinel.nxt
-        while entry is not sentinel:
-            targets.append((entry.column, entry.coeff))
-            entry = entry.nxt
         # the row operation is simultaneous: compute all sums before any
         # column changes shape, then rewrite
         updates: list[tuple[_Column, AnnotationVector]] = []
-        for column, f in targets:
+        for column, f in rows[row_j].items():
             lam = field.div(field.neg(f), c_j)
             scaled = scale_annotation(a_bd, lam, field)
             new_key, _ = sum_annotations(column.key, scaled, field)
             updates.append((column, new_key))
         for column, _ in updates:
-            for entry in column.entries:
-                self._unlink(entry)
+            for row, _ in column.key:
+                del rows[row][column]
             del self._columns[column.key]
+            self._nnz -= len(column.key)
         for column, new_key in updates:
             root = self._find(column.owner)
             if not new_key:
                 del self._root_column[root]
-                self._merge_into_zero(root)
             else:
                 existing = self._columns.get(new_key)
                 if existing is not None:
@@ -258,21 +239,23 @@ class CompressedAnnotationMatrix:
                     self._root_column[self._union(root, other)] = existing
                 else:
                     column.key = new_key
-                    column.entries = []
-                    for row, coeff in new_key:
-                        entry = _Entry(row, coeff, column)
-                        column.entries.append(entry)
-                        self._link(entry)
-                    self._columns[new_key] = column
-        if sentinel.nxt is not sentinel:
+                    self._store(column)
+        if rows[row_j]:
             raise InvariantViolation(f"row {row_j} survived its destruction")
-        del self._rings[row_j]
+        del rows[row_j]
         if self._debug:
             self.check_invariants()
         return row_j
 
     # ------------------------------------------------------------------
     # internals
+
+    def _store(self, column: _Column) -> None:
+        rows = self._rows
+        for row, coeff in column.key:
+            rows[row][column] = coeff
+        self._columns[column.key] = column
+        self._nnz += len(column.key)
 
     def _make_set(self, slot) -> None:
         if slot in self._parent:
@@ -300,86 +283,48 @@ class CompressedAnnotationMatrix:
             self._rank[ra] += 1
         return ra
 
-    def _merge_into_zero(self, root) -> None:
-        if self._zero_root is None:
-            self._zero_root = root
-        else:
-            self._zero_root = self._union(root, self._find(self._zero_root))
-
-    def _link(self, entry: _Entry) -> None:
-        sentinel = self._rings[entry.row]
-        last = sentinel.prev
-        entry.prev = last
-        entry.nxt = sentinel
-        last.nxt = entry
-        sentinel.prev = entry
-        self._nnz += 1
-
-    def _unlink(self, entry: _Entry) -> None:
-        entry.prev.nxt = entry.nxt
-        entry.nxt.prev = entry.prev
-        self._nnz -= 1
-
     # ------------------------------------------------------------------
     # debug checking
 
     def check_invariants(self) -> None:
         """Exhaustive structural audit; raises InvariantViolation on failure."""
         p = self._field.p
-        ring_entries: dict[int, _Entry] = {}
-        for row, sentinel in self._rings.items():
+        indexed = 0
+        for row, entries in self._rows.items():
             if row >= self._next_row:
                 raise InvariantViolation(f"live row {row} above the allocator")
-            count = 0
-            entry = sentinel.nxt
-            while entry is not sentinel:
-                if entry.row != row:
-                    raise InvariantViolation("entry linked into the wrong ring")
-                if not 0 < entry.coeff < p:
-                    raise InvariantViolation("non-canonical coefficient in ring")
-                ring_entries[id(entry)] = entry
-                count += 1
-                entry = entry.nxt
-            if count == 0:
-                raise InvariantViolation(f"live row {row} has an empty ring")
-        column_entries: dict[int, _Entry] = {}
+            if not entries:
+                raise InvariantViolation(f"live row {row} is empty")
+            for column, coeff in entries.items():
+                if not 0 < coeff < p:
+                    raise InvariantViolation("non-canonical coefficient in row")
+                stored_as = self._columns.get(column.key)
+                if stored_as is not column or dict(column.key).get(row) != coeff:
+                    raise InvariantViolation("row entry disagrees with its column")
+            indexed += len(entries)
+        stored = 0
         for key, column in self._columns.items():
             if column.key != key:
                 raise InvariantViolation("column stored under a stale key")
             if not key:
                 raise InvariantViolation("zero vector stored as a column")
-            rows = [e.row for e in column.entries]
+            rows = [row for row, _ in key]
             if rows != sorted(set(rows)):
                 raise InvariantViolation("column rows not strictly ascending")
-            if tuple((e.row, e.coeff) for e in column.entries) != key:
-                raise InvariantViolation("column entries disagree with key")
-            for entry in column.entries:
-                if entry.column is not column:
-                    raise InvariantViolation("entry points at the wrong column")
-                if entry.row not in self._rings:
-                    raise InvariantViolation("column entry at a dead row")
-                column_entries[id(entry)] = entry
-        if set(ring_entries) != set(column_entries):
-            raise InvariantViolation("ring and column entry sets differ")
-        if self._nnz != len(column_entries):
+            for row, coeff in key:
+                if self._rows.get(row, {}).get(column) != coeff:
+                    raise InvariantViolation("column entry missing from its row")
+            stored += len(key)
+        if not (self._nnz == stored == indexed):
             raise InvariantViolation("nonzero counter out of sync")
         # class forest <-> distinct columns
         for root in self._root_column:
             if self._parent.get(root) != root:
                 raise InvariantViolation("column payload on a non-root")
-        owned = {id(c) for c in self._root_column.values()}
-        stored = {id(c) for c in self._columns.values()}
-        if owned != stored or len(self._root_column) != len(self._columns):
+        owned = set(self._root_column.values())
+        same = owned == set(self._columns.values())
+        if not same or len(self._root_column) != len(self._columns):
             raise InvariantViolation("roots and distinct columns not in bijection")
         for root, column in self._root_column.items():
             if self._find(column.owner) != root:
                 raise InvariantViolation("column owner left its class")
-        zero_root = None
-        if self._zero_root is not None:
-            zero_root = self._find(self._zero_root)
-            if zero_root in self._root_column:
-                raise InvariantViolation("zero class owns a column")
-        seen_roots = {self._find(slot) for slot in self._parent}
-        for root in seen_roots:
-            if root not in self._root_column and root != zero_root:
-                raise InvariantViolation("class without a column is not the zero class")

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Reads a point cloud or an explicit filtration, runs the engine, writes
-the diagram (file or stdout). Exit codes: 0 success, 1 bad input,
-2 internal invariant failure, 3 engine/oracle mismatch under --oracle.
+the diagram (file or stdout). Exit codes: 0 success, 1 bad input or an
+unwritable output file, 2 internal error raised by the engine, 3
+engine/oracle mismatch under --oracle.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from . import io as formats
 from .builders import build_rips
 from .diagram import PersistenceDiagram, diagram_equal
 from .engine import EngineOptions, compute_persistence
-from .errors import CamphError, CompositeModulus
+from .errors import CamphError
 from .field import PrimeField
 from .oracle import reduce as oracle_reduce
 from .stats import format_stats
@@ -24,7 +25,9 @@ EXIT_INPUT = 1
 EXIT_INTERNAL = 2
 EXIT_ORACLE = 3
 
-_INPUT_ERRORS = (CompositeModulus, ValueError, OSError)
+# errors of reading the field, the points or the filtration; an error the
+# engine raises is internal even where it subclasses ValueError
+_INPUT_ERRORS = (ValueError, OSError)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,32 +108,34 @@ def run(args: argparse.Namespace) -> int:
             complex = build_rips(points, args.rips_max_edge, args.max_dim)
         else:
             complex = formats.read_filtration(args.input)
-        options = EngineOptions(
-            lazy=args.lazy,
-            reorder=args.reorder,
-            record_stats=args.stats,
-            emit_zero_length=args.emit_zero_length,
-        )
-        diagram, stats = compute_persistence(complex, field, options)
     except _INPUT_ERRORS as exc:
         _fail(f"{type(exc).__name__}: {exc}")
         return EXIT_INPUT
+    options = EngineOptions(
+        lazy=args.lazy,
+        reorder=args.reorder,
+        record_stats=args.stats,
+        emit_zero_length=args.emit_zero_length,
+    )
+    try:
+        diagram, stats = compute_persistence(complex, field, options)
     except CamphError as exc:
         _fail(f"internal {type(exc).__name__}: {exc}")
         return EXIT_INTERNAL
 
     text = formats.format_diagram(diagram)
+    stats_text = format_stats(stats) if args.stats else ""
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        try:
+            Path(args.output).write_text(text, encoding="utf-8")
+            if args.stats:
+                Path(args.output + ".stats").write_text(stats_text, encoding="utf-8")
+        except OSError as exc:
+            _fail(f"{type(exc).__name__}: {exc}")
+            return EXIT_INPUT
     else:
         sys.stdout.write(text)
-
-    if args.stats:
-        stats_text = format_stats(stats)
-        if args.output:
-            Path(args.output + ".stats").write_text(stats_text, encoding="utf-8")
-        else:
-            sys.stderr.write(stats_text)
+        sys.stderr.write(stats_text)
 
     if args.oracle:
         oracle_diagram = oracle_reduce(

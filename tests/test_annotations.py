@@ -9,7 +9,12 @@ from camph import (
     scale_annotation,
     sum_annotations,
 )
-from camph.errors import SlotAlreadyAssigned, UnassignedSlot, ZeroAnnotation
+from camph.errors import (
+    InvariantViolation,
+    SlotAlreadyAssigned,
+    UnassignedSlot,
+    ZeroAnnotation,
+)
 
 F2 = PrimeField(2)
 F11 = PrimeField(11)
@@ -211,3 +216,34 @@ def test_row_rings_empty_after_kill():
         assert all(row != 3 for row, _ in m.find_annotation(slot))
     assert m.live_row_count == 3
     m.check_invariants()
+
+
+def _drop_row_entry(m):
+    entries = m._rows[0]
+    del entries[next(iter(entries))]
+
+
+def _change_coefficient(m):
+    entries = m._rows[0]
+    column = next(iter(entries))
+    entries[column] = F11.add(entries[column], 1)
+
+
+def _bump_nonzero_count(m):
+    m._nnz += 1
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_drop_row_entry, _change_coefficient, _bump_nonzero_count]
+)
+def test_audit_catches_corruption(corrupt):
+    # row 0 holds two columns, ((0, 1),) and ((0, 2),); row 2 holds one
+    m = CompressedAnnotationMatrix(F11, debug=True)
+    for slot in "abc":
+        m.create_cocycle(slot)
+    m.kill_cocycle(((0, 3), (1, 4)))
+    assert len(m._rows[0]) == 2
+    m.check_invariants()
+    corrupt(m)
+    with pytest.raises(InvariantViolation):
+        m.check_invariants()

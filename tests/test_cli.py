@@ -5,6 +5,12 @@ import pytest
 
 from camph import PersistenceDiagram, PersistencePair
 from camph.cli import main
+from camph.errors import (
+    InvariantViolation,
+    SlabNotRelativelyClosed,
+    SlotAlreadyAssigned,
+    ZeroAnnotation,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -183,3 +189,58 @@ def test_oracle_mismatch_exits_3(tmp_path, capsys, monkeypatch):
     assert "oracle only" in err
     # the diagram itself is still written
     assert out.read_bytes() == (DATA / "tri_z2.dgm").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "error",
+    [SlotAlreadyAssigned, ZeroAnnotation, SlabNotRelativelyClosed, InvariantViolation],
+)
+def test_engine_error_exits_2(tmp_path, capsys, monkeypatch, error):
+    # these subclass ValueError, yet raised by the engine they are bugs,
+    # not bad input
+    import camph.cli as cli_module
+
+    def failing_engine(complex, field, options):
+        raise error("raised inside the engine")
+
+    monkeypatch.setattr(cli_module, "compute_persistence", failing_engine)
+    out = tmp_path / "tri.dgm"
+    code = run_cli(
+        "--input", str(DATA / "tri.flt"),
+        "--format", "filtration",
+        "--field", "2",
+        "--output", str(out),
+    )
+    assert code == 2
+    assert f"internal {error.__name__}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unwritable_output_exits_1(tmp_path, capsys):
+    out = tmp_path / "missing" / "tri.dgm"
+    code = run_cli(
+        "--input", str(DATA / "tri.flt"),
+        "--format", "filtration",
+        "--field", "2",
+        "--output", str(out),
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("camph: error: FileNotFoundError")
+    assert len(err.splitlines()) == 1
+
+
+def test_unwritable_stats_file_exits_1(tmp_path, capsys):
+    out = tmp_path / "tri.dgm"
+    (tmp_path / "tri.dgm.stats").mkdir()
+    code = run_cli(
+        "--input", str(DATA / "tri.flt"),
+        "--format", "filtration",
+        "--field", "2",
+        "--stats",
+        "--output", str(out),
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("camph: error: ")
+    assert len(err.splitlines()) == 1
