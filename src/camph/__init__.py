@@ -11,7 +11,6 @@ from .annotations import (
     AnnotationVector,
     CompressedAnnotationMatrix,
     negate_annotation,
-    scale_annotation,
     sum_annotations,
 )
 from .builders import PointCloud, build_rips, close_complex, pairwise_distances
@@ -79,7 +78,6 @@ __all__ = [
     "read_points",
     "reorder_slab",
     "reordered_filtration",
-    "scale_annotation",
     "slab_partition",
     "sum_annotations",
     "write_diagram",

@@ -9,6 +9,11 @@ live row by a dict from column to its coefficient there, so that destroying
 a cocycle touches only the columns that actually meet its row (the paper's
 doubly linked row lists, with the same O(1) insert and delete). A class
 whose root owns no column has the zero vector.
+
+Destroying a cocycle with boundary annotation a_bd costs one modular
+inverse, then O(|column| + |a_bd|) per touched column: one merge pass
+that writes row-dict entries only for the rows in the support of a_bd,
+since every other row of the column keeps its coefficient.
 """
 from __future__ import annotations
 
@@ -63,18 +68,6 @@ def sum_annotations(
         out.extend(a2[j:])
     vec = tuple(out)
     return vec, (vec[-1] if vec else None)
-
-
-def scale_annotation(
-    a: AnnotationVector, lam: int, field: PrimeField
-) -> AnnotationVector:
-    """Multiply every coefficient by ``lam`` (0 yields the zero vector)."""
-    if lam == 0 or not a:
-        return ZERO
-    if lam == 1:
-        return a
-    mul = field.mul
-    return tuple((r, mul(c, lam)) for r, c in a)
 
 
 def negate_annotation(a: AnnotationVector, field: PrimeField) -> AnnotationVector:
@@ -203,6 +196,11 @@ class CompressedAnnotationMatrix:
         holding f != 0 in row j receives ``-f/c`` times the argument, which
         zeroes row j everywhere at once; updated columns are
         re-canonicalized, merging classes whose vectors collide. Returns j.
+
+        The arithmetic is done inline; the field is charged the calls the
+        same update makes through it: per touched column a negation and a
+        division for -f/c, |a_bd| multiplications unless that factor is 1,
+        and one addition per row shared with the argument.
         """
         a_bd = boundary_annotation
         if not a_bd:
@@ -212,34 +210,71 @@ class CompressedAnnotationMatrix:
             if row not in rows:
                 raise InvariantViolation(f"row {row} is not live")
         row_j, c_j = a_bd[-1]
-        field = self._field
-        # the row operation is simultaneous: compute all sums before any
-        # column changes shape, then rewrite
-        updates: list[tuple[_Column, AnnotationVector]] = []
-        for column, f in rows[row_j].items():
-            lam = field.div(field.neg(f), c_j)
-            scaled = scale_annotation(a_bd, lam, field)
-            new_key, _ = sum_annotations(column.key, scaled, field)
-            updates.append((column, new_key))
-        for column, _ in updates:
-            for row, _ in column.key:
-                del rows[row][column]
-            del self._columns[column.key]
-            self._nnz -= len(column.key)
-        for column, new_key in updates:
+        p = self._field.p
+        inv = pow(c_j, -1, p)
+        columns = self._columns
+        root_column = self._root_column
+        # the row operation is simultaneous: every touched column leaves the
+        # key index before any new key is looked up, so a new key collides
+        # only with an untouched column or one already rewritten here
+        touched = list(rows[row_j].items())
+        for column, _ in touched:
+            del columns[column.key]
+        bd = [(row, a, rows[row]) for row, a in a_bd]
+        n_bd = len(bd)
+        # a sentinel entry above every live row ends each column's walk
+        end = ((self._next_row, 0),)
+        ops = 0
+        for column, f in touched:
+            lam = (p - f) * inv % p
+            key = column.key
+            ext = key + end
+            out = []
+            append = out.append
+            shared = i = 0
+            kr, kc = ext[0]
+            # merge key with lam * a_bd; only rows of a_bd change, so only
+            # their row dicts are written
+            for row, a, entries in bd:
+                while kr < row:
+                    append((kr, kc))
+                    i += 1
+                    kr, kc = ext[i]
+                if kr == row:
+                    shared += 1
+                    x = (kc + lam * a) % p
+                    i += 1
+                    kr, kc = ext[i]
+                    if x:
+                        append((row, x))
+                        entries[column] = x
+                    else:
+                        del entries[column]
+                else:
+                    x = lam * a % p
+                    append((row, x))
+                    entries[column] = x
+            # the field calls of -f/c, of scaling a_bd by lam != 1 and of
+            # one addition per shared row
+            ops += 2 + shared + (n_bd if lam != 1 else 0)
+            new_key = tuple(out) + key[i:]
+            self._nnz += len(new_key) - len(key)
             root = self._find(column.owner)
             if not new_key:
-                del self._root_column[root]
-            else:
-                existing = self._columns.get(new_key)
-                if existing is not None:
-                    other = self._find(existing.owner)
-                    del self._root_column[root]
-                    del self._root_column[other]
-                    self._root_column[self._union(root, other)] = existing
-                else:
-                    column.key = new_key
-                    self._store(column)
+                del root_column[root]
+                continue
+            existing = columns.setdefault(new_key, column)
+            if existing is column:
+                column.key = new_key
+                continue
+            for row, _ in new_key:
+                del rows[row][column]
+            self._nnz -= len(new_key)
+            other = self._find(existing.owner)
+            del root_column[root]
+            del root_column[other]
+            root_column[self._union(root, other)] = existing
+        self._field.charge(ops)
         if rows[row_j]:
             raise InvariantViolation(f"row {row_j} survived its destruction")
         del rows[row_j]

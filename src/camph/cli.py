@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Reads a point cloud or an explicit filtration, runs the engine, writes
-the diagram (file or stdout). Exit codes: 0 success, 1 bad input or an
-unwritable output file, 2 internal error raised by the engine, 3
-engine/oracle mismatch under --oracle.
+the diagram (file or stdout). Exit codes: 0 success, 1 bad input, a bad
+command line or an unwritable output file, 2 internal error raised by
+the engine, 3 engine/oracle mismatch under --oracle.
 """
 from __future__ import annotations
 
@@ -30,8 +30,19 @@ EXIT_ORACLE = 3
 _INPUT_ERRORS = (ValueError, OSError)
 
 
+class _UsageError(Exception):
+    """A bad command line: unknown flag, bad value or missing argument."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse prints the usage and exits 2 on a bad flag; here that is an
+    # input error (exit 1), and 2 stays reserved for engine errors
+    def error(self, message: str):
+        raise _UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="camph",
         description="Persistence diagrams of filtered simplicial complexes "
         "over prime fields.",
@@ -148,7 +159,12 @@ def run(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    return run(build_parser().parse_args(argv))
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        _fail(str(exc))
+        return EXIT_INPUT
+    return run(args)
 
 
 if __name__ == "__main__":

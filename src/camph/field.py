@@ -56,6 +56,10 @@ class PrimeField:
     def div(self, a: int, b: int) -> int:
         return a * self._inverse(b) % self.p
 
+    def charge(self, ops: int) -> None:
+        """Account for ``ops`` operations a caller did inline; counted only
+        by OpCountingField."""
+
     def _inverse(self, a: int) -> int:
         # extended Euclid: uniform for every prime, no pow() tricks
         a %= self.p
@@ -83,6 +87,9 @@ class OpCountingField(PrimeField):
     def __init__(self, p: int):
         super().__init__(p)
         self.ops = 0
+
+    def charge(self, ops: int) -> None:
+        self.ops += ops
 
     def add(self, a: int, b: int) -> int:
         self.ops += 1

@@ -1,12 +1,12 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from camph import (
     CompressedAnnotationMatrix,
+    OpCountingField,
     PrimeField,
     negate_annotation,
-    scale_annotation,
     sum_annotations,
 )
 from camph.errors import (
@@ -44,10 +44,15 @@ def test_sum_self_cancellation_over_z2():
 
 
 def test_scale_examples():
-    assert scale_annotation(((0, 3), (5, 6)), 2, F11) == ((0, 6), (5, 1))
+    # a kill with a_bd = a + (6, c) turns the unit column of row 6 into
+    # lambda * a, lambda = -1/c: c = 5 gives lambda = 2, c = 10 gives 1
     a = ((0, 3), (5, 6))
-    assert scale_annotation(a, 1, F11) is a
-    assert scale_annotation(a, 0, F11) == ()
+    for c, scaled in ((5, ((0, 6), (5, 1))), (10, a)):
+        m = CompressedAnnotationMatrix(F11, debug=True)
+        for slot in range(7):
+            m.create_cocycle(slot)
+        assert m.kill_cocycle(a + ((6, c),)) == 6
+        assert m.find_annotation(6) == scaled
 
 
 def test_negate():
@@ -193,17 +198,43 @@ def test_kill_arithmetic_z11():
 
 
 def test_kill_scaling_z11_matches_scalar_oracle():
-    # single-column variant of the update A <- A + (-f/c_j)*a_bd with
-    # A = [(2,5)], a_bd = [(0,3),(2,4)] decomposed into its pieces;
-    # every expected value recomputed by direct modular arithmetic:
-    # -5/4 = 6 * inv(4) = 6*3 = 18 = 7; 3*7 = 21 = 10; 5 + 4*7 = 33 = 0
-    lam = F11.div(F11.neg(5), 4)
-    assert lam == 7
-    scaled = scale_annotation(((0, 3), (2, 4)), lam, F11)
-    assert scaled == ((0, 10), (2, 6))
-    updated, top = sum_annotations(((2, 5),), scaled, F11)
-    assert updated == ((0, 10),)
-    assert top == (0, 10)
+    # the update A <- A + (-f/c_j)*a_bd with A = [(2,5)], a_bd =
+    # [(0,3),(2,4)]; every expected value recomputed by direct modular
+    # arithmetic: -5/4 = 6 * inv(4) = 6*3 = 18 = 7; 3*7 = 21 = 10;
+    # 5 + 4*7 = 33 = 0
+    m = CompressedAnnotationMatrix(F11, debug=True)
+    for slot in "abcd":
+        m.create_cocycle(slot)
+    # d = [(3,1)] receives -1 * [(2,6),(3,1)]: A = [(2,5)]
+    assert m.kill_cocycle(((2, 6), (3, 1))) == 3
+    assert m.find_annotation("d") == ((2, 5),)
+    assert m.kill_cocycle(((0, 3), (2, 4))) == 2
+    assert m.find_annotation("d") == ((0, 10),)
+    # c = [(2,1)]: -1/4 = 8, so c becomes [(0, 3*8 = 24 = 2)]
+    assert m.find_annotation("c") == ((0, 2),)
+
+
+def test_kill_field_ops_z11_hand_trace():
+    # the kill charges the calls the update makes through the field: per
+    # touched column one neg and one div for lambda, |a_bd| muls when
+    # lambda != 1, and one add per row the column shares with a_bd
+    field = OpCountingField(11)
+    m = CompressedAnnotationMatrix(field, debug=True)
+    for slot in "abc":
+        m.create_cocycle(slot)
+    # c = [(2,1)] receives -1 * a_bd: c = [(0,10),(1,10)]
+    m.kill_cocycle(((0, 1), (1, 1), (2, 1)))
+    assert m.find_annotation("c") == ((0, 10), (1, 10))
+    before = field.ops
+    # row 1 holds b (f = 1) and c (f = 10); c_j = 3, inv(3) = 4
+    assert m.kill_cocycle(((0, 3), (1, 3))) == 1
+    # b = [(1,1)]: lambda = -1*4 = 7; row 0: 7*3 = 21 = 10; shared row 1
+    # cancels: 1 + 7*3 = 22 = 0. 1 neg + 1 div + 2 mul + 1 add = 5
+    assert m.find_annotation("b") == ((0, 10),)
+    # c: lambda = -10*4 = -40 = 4; shared row 0 cancels: 10 + 4*3 = 22 = 0,
+    # and row 1 too: 10 + 4*3 = 0. 1 neg + 1 div + 2 mul + 2 add = 6
+    assert m.find_annotation("c") == ()
+    assert field.ops - before == 5 + 6
 
 
 def test_row_rings_empty_after_kill():
@@ -247,3 +278,128 @@ def test_audit_catches_corruption(corrupt):
     corrupt(m)
     with pytest.raises(InvariantViolation):
         m.check_invariants()
+
+
+
+# ----------------------------------------------------------------------
+# differential test of kill_cocycle against a dense model
+#
+# A program is a few creations, then a list of operations whose indices
+# pick among the live rows or the nonzero slots of the moment (modulo
+# their number), so any drawn list runs. Besides random boundary
+# annotations, a kill may use a multiple of a live annotation, which
+# cancels that column to zero unless extra entries are added, or a
+# multiple of the difference of two, which makes their columns collide.
+
+PRIMES = (2, 3, 7919)
+PATHS = ("survive", "cancel", "merge")
+
+
+def _programs(p):
+    pick = st.integers(0, 63)
+    coeff = st.integers(1, p - 1)
+    entries = st.lists(st.tuples(pick, coeff), max_size=4)
+    op = st.one_of(
+        st.tuples(st.just("create")),
+        st.tuples(st.just("zero")),
+        st.tuples(st.just("random"), entries),
+        st.tuples(st.just("multiple"), pick, coeff, entries),
+        st.tuples(st.just("difference"), pick, pick, coeff),
+    )
+    creates = st.integers(1, 8).map(lambda n: [("create",)] * n)
+    return st.tuples(creates, st.lists(op, min_size=1, max_size=30)).map(
+        lambda parts: parts[0] + parts[1]
+    )
+
+
+def _vector(x: dict[int, int]):
+    return tuple(sorted((row, c) for row, c in x.items() if c))
+
+
+def _dense_kill(x: dict[int, int], a_bd, p) -> dict[int, int]:
+    # x - (x_j / c_j) * a_bd, with Fermat's inverse
+    row_j, c_j = a_bd[-1]
+    lam = -x.get(row_j, 0) * pow(c_j, p - 2, p)
+    out = dict(x)
+    for row, a in a_bd:
+        out[row] = (out.get(row, 0) + lam * a) % p
+    return dict(_vector(out))
+
+
+def _paths(columns, a_bd, p) -> set[str]:
+    """How the kill updates each distinct column meeting row j."""
+    row_j = a_bd[-1][0]
+    after = {v: _vector(_dense_kill(dict(v), a_bd, p)) for v in columns}
+    paths = set()
+    for v, w in after.items():
+        if dict(v).get(row_j):
+            if not w:
+                paths.add("cancel")
+            elif list(after.values()).count(w) > 1:
+                paths.add("merge")
+            else:
+                paths.add("survive")
+    return paths
+
+
+def _run_program(p, program) -> set[str]:
+    """Replay ``program`` on an audited matrix and on the dense model,
+    comparing every slot after every kill; returns the update paths hit."""
+    m = CompressedAnnotationMatrix(PrimeField(p), debug=True)
+    model: dict[int, dict[int, int]] = {}
+    live: list[int] = []
+    paths: set[str] = set()
+    for kind, *args in program:
+        nonzero = [x for x in model.values() if x]
+        if kind == "random" and live:
+            a = {live[i % len(live)]: c for i, c in args[0]}
+        elif kind == "multiple" and nonzero:
+            # k * u cancels u's column; extra entries let it survive
+            i, k, extra = args
+            a = {row: k * c for row, c in nonzero[i % len(nonzero)].items()}
+            for i, c in extra:
+                row = live[i % len(live)]
+                a[row] = a.get(row, 0) + c
+        elif kind == "difference" and nonzero:
+            u, v = (nonzero[i % len(nonzero)] for i in args[:2])
+            a = {row: args[2] * (u.get(row, 0) - v.get(row, 0)) for row in u | v}
+        elif kind == "zero":
+            m.assign_zero(len(model))
+            model[len(model)] = {}
+            continue
+        else:
+            live.append(m.create_cocycle(len(model)))
+            model[len(model)] = {live[-1]: 1}
+            continue
+        a_bd = _vector({row: c % p for row, c in a.items()})
+        if not a_bd:
+            continue
+        paths |= _paths({_vector(x) for x in nonzero}, a_bd, p)
+        assert m.kill_cocycle(a_bd) == a_bd[-1][0]
+        live.remove(a_bd[-1][0])
+        for slot, x in model.items():
+            model[slot] = _dense_kill(x, a_bd, p)
+            assert m.find_annotation(slot) == _vector(model[slot]), (slot, a_bd)
+    return paths
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_kill_matches_dense_model(p):
+    @settings(max_examples=150, deadline=None)
+    @given(_programs(p))
+    def check(program):
+        _run_program(p, program)
+
+    check()
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("path", PATHS)
+def test_kill_programs_reach_every_update_path(p, path):
+    # the drawn programs do exercise each branch of the column update;
+    # find raises NoSuchExample if none of 500 draws reaches this one
+    find(
+        _programs(p),
+        lambda program: path in _run_program(p, program),
+        settings=settings(max_examples=500, phases=[Phase.generate], database=None),
+    )

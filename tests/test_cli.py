@@ -244,3 +244,29 @@ def test_unwritable_stats_file_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("camph: error: ")
     assert len(err.splitlines()) == 1
+
+
+
+TRI = str(DATA / "tri.flt")
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["--input", TRI, "--format", "filtration", "--field", "2", "--bogus"],
+         "unrecognized arguments: --bogus"),
+        (["--input", TRI, "--format", "points", "--field", "2",
+          "--rips-max-edge", "1.0", "--max-dim", "two"], "--max-dim"),
+        (["--input", TRI, "--format", "filtration", "--field", "two"], "--field"),
+        (["--format", "filtration", "--field", "2"], "--input"),
+        (["--input", TRI, "--format", "filtration"], "--field"),
+    ],
+    ids=["unknown-flag", "bad-max-dim", "bad-field", "missing-input", "missing-field"],
+)
+def test_usage_error_exits_1(args, message, capsys):
+    # argparse alone prints the usage and exits 2, which is the engine-error code
+    assert run_cli(*args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("camph: error: ")
+    assert message in err
+    assert len(err.splitlines()) == 1

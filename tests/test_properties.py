@@ -12,11 +12,14 @@ from hypothesis import strategies as st
 
 from camph import (
     EngineOptions,
+    PersistenceEngine,
     PrimeField,
     SimplexTree,
     compute_persistence,
     diagram_equal,
     oracle_reduce,
+    reorder_slab,
+    slab_partition,
 )
 
 PRIMES = (2, 3, 7919)
@@ -123,3 +126,51 @@ def test_diagram_unchanged_under_any_relabelling(values, data):
             before, _ = compute_persistence(before_tree, field, options)
             after, _ = compute_persistence(after_tree, field, options)
             assert before.triples() == after.triples(), (p, options)
+
+
+def _shuffled_block(tree, simplices, data):
+    """A random order of one equal-value block in which faces still come
+    before their cofaces: a random linear extension of inclusion."""
+    members = {tree.key(simplex) for simplex in simplices}
+    pending = sorted(members)
+    done: set[int] = set()
+    out = []
+    while pending:
+        ready = [
+            key
+            for key in pending
+            if all(face in done or face not in members for face in tree.faces_of[key])
+        ]
+        key = data.draw(st.sampled_from(ready))
+        pending.remove(key)
+        done.add(key)
+        out.append(tree.simplex_of[key])
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(closed_filtrations(), st.data())
+def test_diagram_unchanged_under_block_permutation(values, data):
+    # one block goes in as a random face-respecting permutation; the other
+    # blocks go in as the mode orders them
+    tree = tree_of(values)
+    slabs = slab_partition(tree)
+    chosen = data.draw(st.sampled_from(range(len(slabs))))
+    shuffled = _shuffled_block(tree, slabs[chosen].simplices, data)
+    for p in PRIMES:
+        field = PrimeField(p)
+        for options in MODES:
+            expected, _ = compute_persistence(tree, field, options)
+            engine = PersistenceEngine(tree, field, options)
+            step = engine.lazy_evaluation if options.lazy else engine.insert
+            for index, slab in enumerate(slabs):
+                if index == chosen:
+                    sequence = shuffled
+                elif options.reorder:
+                    sequence = reorder_slab(tree, slab)
+                else:
+                    sequence = slab.simplices
+                for simplex in sequence:
+                    step(simplex)
+            diagram = engine.finish()
+            assert diagram.triples() == expected.triples(), (p, options)
