@@ -2,7 +2,9 @@
 
 An annotation vector assigns one Z_p coefficient to each live cocycle row;
 vectors are sorted tuples of ``(row, coefficient)`` pairs with every
-coefficient nonzero, the empty tuple being the zero vector. One matrix per
+coefficient nonzero, the empty tuple being the zero vector. This module is
+the only one that reads or builds them: callers hand the matrix slots and
+get back the signed boundary sum that ``kill_cocycle`` takes. One matrix per
 simplex dimension stores each distinct nonzero column exactly once, shares
 columns between simplices through a union-find forest, and indexes each
 live row by a dict from column to its coefficient there, so that destroying
@@ -28,53 +30,6 @@ from .field import PrimeField
 AnnotationVector = tuple[tuple[int, int], ...]
 
 ZERO: AnnotationVector = ()
-
-
-def sum_annotations(
-    a1: AnnotationVector, a2: AnnotationVector, field: PrimeField
-) -> tuple[AnnotationVector, tuple[int, int] | None]:
-    """Merge-add two sorted vectors with exact cancellation.
-
-    Returns the sum together with its entry of maximal row index (None for
-    the zero sum); that entry selects the cocycle a destruction removes.
-    Cost is one pass over both inputs.
-    """
-    if not a1:
-        return a2, (a2[-1] if a2 else None)
-    if not a2:
-        return a1, a1[-1]
-    add = field.add
-    out = []
-    i = j = 0
-    n1, n2 = len(a1), len(a2)
-    while i < n1 and j < n2:
-        r1, c1 = a1[i]
-        r2, c2 = a2[j]
-        if r1 < r2:
-            out.append(a1[i])
-            i += 1
-        elif r2 < r1:
-            out.append(a2[j])
-            j += 1
-        else:
-            c = add(c1, c2)
-            if c:
-                out.append((r1, c))
-            i += 1
-            j += 1
-    if i < n1:
-        out.extend(a1[i:])
-    if j < n2:
-        out.extend(a2[j:])
-    vec = tuple(out)
-    return vec, (vec[-1] if vec else None)
-
-
-def negate_annotation(a: AnnotationVector, field: PrimeField) -> AnnotationVector:
-    if not a:
-        return ZERO
-    neg = field.neg
-    return tuple((r, neg(c)) for r, c in a)
 
 
 class _Column:
@@ -118,10 +73,6 @@ class CompressedAnnotationMatrix:
     # observations
 
     @property
-    def field(self) -> PrimeField:
-        return self._field
-
-    @property
     def live_row_count(self) -> int:
         """Rank of the cohomology group currently represented."""
         return len(self._rows)
@@ -133,10 +84,6 @@ class CompressedAnnotationMatrix:
     @property
     def nonzero_count(self) -> int:
         return self._nnz
-
-    @property
-    def next_row_index(self) -> int:
-        return self._next_row
 
     def is_assigned(self, slot) -> bool:
         return slot in self._parent
@@ -188,6 +135,37 @@ class CompressedAnnotationMatrix:
             raise UnassignedSlot(f"slot {slot!r} has no annotation")
         column = self._root_column.get(self._find(slot))
         return column.key if column is not None else ZERO
+
+    def signed_sum(self, slots) -> AnnotationVector:
+        """Sum over j of (-1)^j times the annotation of ``slots[j]``.
+
+        One dict accumulates the sum with inline arithmetic, so no negated
+        copy is built. The field is charged what negating every odd term
+        and merge-adding the terms in order would call: one negation per
+        entry of an odd term and one addition per row that a term shares
+        with the running sum. Raises UnassignedSlot at the first slot
+        without an annotation.
+        """
+        p = self._field.p
+        find = self.find_annotation
+        acc: dict[int, int] = {}
+        ops = 0
+        for j, slot in enumerate(slots):
+            vec = find(slot)
+            odd = j % 2
+            if odd:
+                ops += len(vec)
+            for row, c in vec:
+                if odd:
+                    c = p - c
+                x = acc.pop(row, 0)
+                if x:
+                    ops += 1
+                    c = (x + c) % p
+                if c:
+                    acc[row] = c
+        self._field.charge(ops)
+        return tuple(sorted(acc.items()))
 
     def kill_cocycle(self, boundary_annotation: AnnotationVector) -> int:
         """Remove the youngest cocycle meeting ``boundary_annotation``.

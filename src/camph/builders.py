@@ -1,12 +1,10 @@
-"""Complex construction: flag-complex filtrations and face completion."""
+"""Complex construction: flag-complex filtrations of point clouds."""
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import DimensionMismatch
 from .simplex_tree import SimplexTree
-
-PointCloud = np.ndarray
 
 
 def pairwise_distances(points) -> np.ndarray:
@@ -30,6 +28,8 @@ def build_rips(points, max_edge_length: float, max_dim: int) -> SimplexTree:
     """
     if not max_edge_length >= 0:
         raise ValueError("max_edge_length must be non-negative")
+    if not isinstance(max_dim, int) or isinstance(max_dim, bool):
+        raise ValueError(f"max_dim must be an integer, got {max_dim!r}")
     if max_dim < 0:
         raise ValueError("max_dim must be non-negative")
     pts = np.asarray(points, dtype=float)
@@ -64,20 +64,3 @@ def build_rips(points, max_edge_length: float, max_dim: int) -> SimplexTree:
     tree.finalize()
     return tree
 
-
-def close_complex(complex: SimplexTree) -> SimplexTree:
-    """Add every missing face at the smallest value among its cofaces.
-
-    Convenience for hand-authored complexes; mutates and returns the same
-    instance, which afterwards passes finalize(). A finalized complex is
-    already closed and comes back unchanged.
-    """
-    if complex.finalized:
-        return complex
-    for dim in range(complex.dimension, 0, -1):
-        for simplex, value in list(complex.simplices()):
-            if len(simplex) - 1 != dim:
-                continue
-            for j in range(len(simplex)):
-                complex.insert_simplex(simplex[:j] + simplex[j + 1 :], value)
-    return complex

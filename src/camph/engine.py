@@ -1,12 +1,13 @@
 """Cocycle-tracking persistence computation.
 
-Simplices enter in filtration order. For each one the engine sums the
-annotations of its boundary faces with alternating signs (signs collapse
-over Z_2 but the code path is field-generic): a vanishing sum starts a
-fresh cocycle class in the simplex's dimension, a nonvanishing sum
-destroys the youngest class contributing to it one dimension below and
-pairs that class's creator with the new simplex. Live classes at the end
-become essential pairs.
+Simplices enter in filtration order. For each one the annotation matrix
+one dimension down returns the signed sum of its boundary faces'
+annotations (signs collapse over Z_2 but the code path is field-generic);
+the engine only tests whether the sum vanishes and hands it back to the
+matrix. A vanishing sum starts a fresh cocycle class in the simplex's
+dimension, a nonvanishing sum destroys the youngest class contributing to
+it one dimension below and pairs that class's creator with the new
+simplex. Live classes at the end become essential pairs.
 
 Two insertion-order strategies are available: deferring each creator
 until one of its cofaces arrives, and reordering equal-value blocks; both
@@ -17,13 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .annotations import (
-    ZERO,
-    AnnotationVector,
-    CompressedAnnotationMatrix,
-    negate_annotation,
-    sum_annotations,
-)
+from .annotations import CompressedAnnotationMatrix
 from .diagram import PersistenceDiagram, PersistencePair
 from .errors import MissingFace, SlotAlreadyAssigned, UnassignedSlot
 from .field import OpCountingField, PrimeField
@@ -39,24 +34,6 @@ class EngineOptions:
     record_stats: bool = False
     emit_zero_length: bool = False
     debug: bool = False
-
-
-@dataclass(frozen=True)
-class Created:
-    """The inserted simplex started a new cocycle class in this row."""
-
-    row: int
-
-
-@dataclass(frozen=True)
-class Killed:
-    """The inserted simplex destroyed a class and produced a pair."""
-
-    row: int
-    pair: PersistencePair
-
-
-InsertionOutcome = Created | Killed
 
 
 class PersistenceEngine:
@@ -77,7 +54,8 @@ class PersistenceEngine:
             raise ValueError("the complex must be finalized first")
         self.complex = complex
         self.options = options or EngineOptions()
-        if self.options.record_stats and not isinstance(field, OpCountingField):
+        if self.options.record_stats:
+            # a fresh counter, so field_ops covers this run alone
             field = OpCountingField(field.p)
         self.field = field
         self._simplex_of = complex.simplex_of
@@ -94,9 +72,9 @@ class PersistenceEngine:
     # ------------------------------------------------------------------
     # insertion
 
-    def insert(self, simplex) -> InsertionOutcome:
+    def insert(self, simplex) -> None:
         """Standard insertion; every face must already be inserted or marked."""
-        return self._insert(self.complex.key(simplex), defer=False)
+        self._insert(self.complex.key(simplex), defer=False)
 
     def lazy_evaluation(self, simplex) -> None:
         """Deferred insertion: creators wait until a coface needs them.
@@ -144,10 +122,9 @@ class PersistenceEngine:
         return matrix.live_row_count if matrix is not None else 0
 
     def stats(self) -> RunStats:
-        ops = self.field.ops if isinstance(self.field, OpCountingField) else 0
         if self._collector is None:
-            return RunStats(field_ops=ops)
-        return self._collector.result(field_ops=ops)
+            return RunStats()
+        return self._collector.result(field_ops=self.field.ops)
 
     # ------------------------------------------------------------------
     # internals
@@ -159,7 +136,7 @@ class PersistenceEngine:
             self._matrices[dim] = matrix
         return matrix
 
-    def _insert(self, key: int, defer: bool) -> InsertionOutcome | None:
+    def _insert(self, key: int, defer: bool) -> None:
         """The one insertion core behind insert() and lazy_evaluation().
 
         Marked boundary faces are forced in first, oldest reserved row
@@ -169,7 +146,8 @@ class PersistenceEngine:
         """
         row = self._marked.pop(key, None)
         if row is not None:
-            return Created(self._insert_creator(key, row))
+            self._insert_creator(key, row)
+            return
         marked = self._marked
         deferred = [face for face in self._faces_of[key] if face in marked]
         deferred.sort(key=marked.__getitem__)
@@ -183,40 +161,33 @@ class PersistenceEngine:
                 f"simplex {self._simplex_of[key]} was already inserted"
             )
         if a_bd:
-            return self._insert_killer(key, a_bd)
-        if defer:
+            self._insert_killer(key, a_bd)
+        elif defer:
             marked[key] = self._matrix(dim).reserve_row()
-            return None
-        return Created(self._insert_creator(key))
+        else:
+            self._insert_creator(key)
 
-    def _boundary_annotation(self, key: int) -> AnnotationVector:
+    def _boundary_annotation(self, key: int) -> tuple:
         faces = self._faces_of[key]
         if not faces:
-            return ZERO
+            return ()
         matrix = self._matrix(len(faces) - 2)
-        field = self.field
-        acc: AnnotationVector = ZERO
-        for j, face in enumerate(faces):
-            try:
-                vec = matrix.find_annotation(face)
-            except UnassignedSlot:
-                raise MissingFace(
-                    f"face {self._simplex_of[face]} of {self._simplex_of[key]} "
-                    "was never inserted"
-                ) from None
-            if j % 2:
-                vec = negate_annotation(vec, field)
-            acc, _ = sum_annotations(acc, vec, field)
-        return acc
+        try:
+            return matrix.signed_sum(faces)
+        except UnassignedSlot:
+            face = next(f for f in faces if not matrix.is_assigned(f))
+            raise MissingFace(
+                f"face {self._simplex_of[face]} of {self._simplex_of[key]} "
+                "was never inserted"
+            ) from None
 
-    def _insert_creator(self, key: int, row: int | None = None) -> int:
+    def _insert_creator(self, key: int, row: int | None = None) -> None:
         dim = len(self._simplex_of[key]) - 1
         row = self._matrix(dim).create_cocycle(key, row=row)
         self._creators.setdefault(dim, {})[row] = key
         self._sample()
-        return row
 
-    def _insert_killer(self, key: int, a_bd: AnnotationVector) -> Killed:
+    def _insert_killer(self, key: int, a_bd: tuple) -> None:
         dim = len(self._simplex_of[key]) - 1
         row = self._matrix(dim - 1).kill_cocycle(a_bd)
         self._matrix(dim).assign_zero(key)
@@ -230,7 +201,6 @@ class PersistenceEngine:
         )
         self._pairs.append(pair)
         self._sample()
-        return Killed(row, pair)
 
     def _sample(self) -> None:
         if self._collector is not None:

@@ -50,9 +50,6 @@ class PrimeField:
     def mul(self, a: int, b: int) -> int:
         return a * b % self.p
 
-    def inv(self, a: int) -> int:
-        return self._inverse(a)
-
     def div(self, a: int, b: int) -> int:
         return a * self._inverse(b) % self.p
 
@@ -61,23 +58,16 @@ class PrimeField:
         by OpCountingField."""
 
     def _inverse(self, a: int) -> int:
-        # extended Euclid: uniform for every prime, no pow() tricks
         a %= self.p
         if a == 0:
             raise DivisionByZero(f"inverse of 0 in Z_{self.p}")
-        t, new_t = 0, 1
-        r, new_r = self.p, a
-        while new_r:
-            q = r // new_r
-            t, new_t = new_t, t - q * new_t
-            r, new_r = new_r, r - q * new_r
-        return t % self.p
+        return pow(a, -1, self.p)
 
 
 class OpCountingField(PrimeField):
     """PrimeField that counts arithmetic calls.
 
-    Every invocation of add/neg/mul/inv/div increments ``ops`` by one,
+    Every invocation of add/neg/mul/div increments ``ops`` by one,
     regardless of the internal work performed (a division counts once,
     not as inverse-plus-multiply).
     """
@@ -102,10 +92,6 @@ class OpCountingField(PrimeField):
     def mul(self, a: int, b: int) -> int:
         self.ops += 1
         return a * b % self.p
-
-    def inv(self, a: int) -> int:
-        self.ops += 1
-        return self._inverse(a)
 
     def div(self, a: int, b: int) -> int:
         self.ops += 1

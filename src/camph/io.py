@@ -1,8 +1,8 @@
 """Text file formats: point clouds, filtrations, diagrams.
 
 One record per line, whitespace-separated; lines whose first nonblank
-character is ``#`` are comments. Floats are written with ``repr`` so a
-write/read round trip is exact and output is byte-stable.
+character is ``#`` are comments. Floats are written with ``repr`` so
+output is byte-stable and reads back exactly.
 
 - point cloud:   ``x_1 x_2 ... x_D``         (one point per line)
 - filtration:    ``value v_0 v_1 ... v_k``   (one simplex per line)
@@ -11,11 +11,9 @@ write/read round trip is exact and output is byte-stable.
 from __future__ import annotations
 
 import math
-from pathlib import Path
-
 import numpy as np
 
-from .diagram import PersistenceDiagram, PersistencePair
+from .diagram import PersistenceDiagram
 from .errors import ParseError
 from .simplex_tree import SimplexTree
 
@@ -83,37 +81,9 @@ def read_filtration(path) -> SimplexTree:
     return tree
 
 
-def write_filtration(complex: SimplexTree, path) -> None:
-    lines = []
-    for simplex, value in sorted(
-        complex.simplices(), key=lambda item: (item[1], len(item[0]), item[0])
-    ):
-        lines.append(" ".join([_fmt(value), *map(str, simplex)]))
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
-
-
 def format_diagram(diagram: PersistenceDiagram) -> str:
     """Canonical text rendering, sorted by (dim, birth, death)."""
     triples = sorted(diagram.triples())
     lines = [f"{dim} {_fmt(birth)} {_fmt(death)}" for dim, birth, death in triples]
     return "\n".join(lines) + ("\n" if lines else "")
 
-
-def write_diagram(diagram: PersistenceDiagram, path) -> None:
-    Path(path).write_text(format_diagram(diagram), encoding="utf-8")
-
-
-def read_diagram(path) -> PersistenceDiagram:
-    pairs = []
-    for lineno, line in _data_lines(path):
-        tokens = line.split()
-        if len(tokens) != 3:
-            raise ParseError("expected: dim birth death", path=path, line=lineno)
-        try:
-            dim = int(tokens[0])
-            birth = float(tokens[1])
-            death = float(tokens[2])
-        except ValueError as exc:
-            raise ParseError(f"bad token ({exc})", path=path, line=lineno)
-        pairs.append(PersistencePair(dim, birth, death))
-    return PersistenceDiagram(pairs)

@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 class RunStats:
     """Counters from one engine run.
 
-    ``field_ops`` counts every field-operation call (add, neg, mul, inv,
-    div; each call counts once). The remaining values are maxima over
+    ``field_ops`` counts every field-operation call (add, neg, mul, div;
+    each call counts once). The remaining values are maxima over
     samples taken after each simplex insertion: ``matrix_nonzeros_peak``
     is the total number of stored nonzero entries, ``g_max_total`` the
     total number of live cocycle rows over all dimensions, and

@@ -2,45 +2,63 @@ import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
-from camph import (
-    CompressedAnnotationMatrix,
-    OpCountingField,
-    PrimeField,
-    negate_annotation,
-    sum_annotations,
-)
+from camph import CompressedAnnotationMatrix, PrimeField
 from camph.errors import (
     InvariantViolation,
     SlotAlreadyAssigned,
     UnassignedSlot,
     ZeroAnnotation,
 )
+from camph.field import OpCountingField
 
 F2 = PrimeField(2)
 F11 = PrimeField(11)
 
 
 # ----------------------------------------------------------------------
-# vector operations
+# signed boundary sums
+
+
+def _holding(field, vectors, rows=13):
+    """A matrix whose slots 0, 1, ... hold ``vectors`` over rows < ``rows``.
+
+    Rows 0 .. rows-1 are live unit columns. Slot i starts as the unit
+    column of a fresh row r, and killing r with v + (r, -1) turns that
+    column into exactly v (lambda = -f/c = 1); only public operations.
+    """
+    m = CompressedAnnotationMatrix(field, debug=True)
+    for row in range(rows):
+        m.create_cocycle(("unit", row))
+    for slot, v in enumerate(vectors):
+        row = m.create_cocycle(slot)
+        m.kill_cocycle(tuple(v) + ((row, field.p - 1),))
+    return m
 
 
 def test_sum_cancels_and_reports_max_row():
-    vec, top = sum_annotations(((1, 3), (4, 2)), ((1, 8), (2, 5)), F11)
-    assert vec == ((2, 5), (4, 2))  # 3+8 = 0 mod 11 cancels row 1
-    assert top == (4, 2)
+    # a - b with b = -((1,8),(2,5)): 3+8 = 0 mod 11 cancels row 1, and
+    # the maximal row comes last, where kill_cocycle reads it
+    m = _holding(F11, [((1, 3), (4, 2)), ((1, 3), (2, 6))])
+    vec = m.signed_sum([0, 1])
+    assert vec == ((2, 5), (4, 2))
+    assert vec[-1] == (4, 2)
 
 
 def test_sum_zero_identity():
     a = ((0, 1), (3, 7))
-    assert sum_annotations(a, (), F11) == (a, (3, 7))
-    assert sum_annotations((), a, F11) == (a, (3, 7))
-    assert sum_annotations((), (), F11) == ((), None)
+    m = _holding(F11, [a, ()])
+    assert m.signed_sum([]) == ()
+    assert m.signed_sum([1]) == ()
+    assert m.signed_sum([0, 1]) == a
+    assert m.signed_sum([1, 1, 0]) == a
+    assert m.signed_sum([1, 1]) == ()
 
 
 def test_sum_self_cancellation_over_z2():
-    vec, top = sum_annotations(((0, 1),), ((0, 1),), F2)
-    assert vec == ()
-    assert top is None
+    # over Z_2 the signs collapse: a - a and a + a both vanish
+    m = _holding(F2, [((0, 1),)])
+    assert m.signed_sum([0, 0]) == ()
+    assert m.signed_sum([0, ("unit", 1), 0]) == ((1, 1),)
 
 
 def test_scale_examples():
@@ -56,8 +74,10 @@ def test_scale_examples():
 
 
 def test_negate():
-    assert negate_annotation(((0, 3), (2, 4)), F11) == ((0, 8), (2, 7))
-    assert negate_annotation((), F11) == ()
+    # an odd position negates its term
+    m = _holding(F11, [(), ((0, 3), (2, 4))])
+    assert m.signed_sum([0, 1]) == ((0, 8), (2, 7))
+    assert m.signed_sum([0, 0]) == ()
 
 
 def _vectors(p):
@@ -72,29 +92,37 @@ def _vectors(p):
 @settings(max_examples=300)
 @given(_vectors(11), _vectors(11))
 def test_sum_commutes_and_is_canonical(a, b):
-    left, top = sum_annotations(a, b, F11)
-    right, _ = sum_annotations(b, a, F11)
-    assert left == right
+    # terms in even positions can be swapped without changing the sum
+    m = _holding(F11, [a, b, ()])
+    left = m.signed_sum([0, 2, 1])
+    assert left == m.signed_sum([1, 2, 0])
     rows = [r for r, _ in left]
     assert rows == sorted(set(rows))
     assert all(0 < c < 11 for _, c in left)
-    assert top == (left[-1] if left else None)
+    expected = {r: c for r, c in a}
+    for r, c in b:
+        expected[r] = (expected.get(r, 0) + c) % 11
+    assert left == tuple(sorted((r, c) for r, c in expected.items() if c))
 
 
 @settings(max_examples=300)
 @given(_vectors(11), _vectors(11), _vectors(11))
 def test_sum_is_associative(a, b, c):
-    ab, _ = sum_annotations(a, b, F11)
-    bc, _ = sum_annotations(b, c, F11)
-    assert sum_annotations(ab, c, F11)[0] == sum_annotations(a, bc, F11)[0]
+    # (a - b) + c == a - (b - c): grouping the terms does not matter
+    first = _holding(F11, [a, b, c])
+    ab = first.signed_sum([0, 1])
+    bc = first.signed_sum([1, 2])
+    m = _holding(F11, [a, b, c, ab, bc, ()])
+    abc = m.signed_sum([0, 1, 2])
+    assert m.signed_sum([3, 5, 2]) == abc
+    assert m.signed_sum([0, 4]) == abc
 
 
 @settings(max_examples=300)
 @given(_vectors(11))
 def test_negation_is_additive_inverse(a):
-    vec, top = sum_annotations(a, negate_annotation(a, F11), F11)
-    assert vec == ()
-    assert top is None
+    m = _holding(F11, [a])
+    assert m.signed_sum([0, 0]) == ()
 
 
 # ----------------------------------------------------------------------
@@ -110,7 +138,7 @@ def test_create_cocycle_allocates_monotone_rows():
     assert m.live_row_count == 2
     m.kill_cocycle(((0, 1),))
     assert m.create_cocycle("c") == 2  # index 0 is never reused
-    assert m.next_row_index == 3
+    assert m.reserve_row() == 3
 
 
 def test_create_rejects_assigned_slot():
@@ -290,6 +318,8 @@ def test_audit_catches_corruption(corrupt):
 # annotations, a kill may use a multiple of a live annotation, which
 # cancels that column to zero unless extra entries are added, or a
 # multiple of the difference of two, which makes their columns collide.
+# Each step also carries a tuple of slot picks whose signed sum is checked
+# after the operation.
 
 PRIMES = (2, 3, 7919)
 PATHS = ("survive", "cancel", "merge")
@@ -306,8 +336,9 @@ def _programs(p):
         st.tuples(st.just("multiple"), pick, coeff, entries),
         st.tuples(st.just("difference"), pick, pick, coeff),
     )
-    creates = st.integers(1, 8).map(lambda n: [("create",)] * n)
-    return st.tuples(creates, st.lists(op, min_size=1, max_size=30)).map(
+    step = st.tuples(op, st.lists(pick, max_size=6))
+    creates = st.integers(1, 8).map(lambda n: [(("create",), [])] * n)
+    return st.tuples(creates, st.lists(step, min_size=1, max_size=30)).map(
         lambda parts: parts[0] + parts[1]
     )
 
@@ -342,44 +373,74 @@ def _paths(columns, a_bd, p) -> set[str]:
     return paths
 
 
+def _model_signed_sum(vectors, p) -> tuple[tuple, int]:
+    """The signed sum by negating each odd term, then merge-adding the terms
+    one by one, with the field calls that sequence makes."""
+    acc: dict[int, int] = {}
+    ops = 0
+    for j, x in enumerate(vectors):
+        if j % 2:
+            ops += len(x)
+            x = {row: -c % p for row, c in x.items()}
+        ops += len(acc.keys() & x.keys())
+        for row, c in x.items():
+            acc[row] = (acc.get(row, 0) + c) % p
+        acc = dict(_vector(acc))
+    return _vector(acc), ops
+
+
 def _run_program(p, program) -> set[str]:
     """Replay ``program`` on an audited matrix and on the dense model,
-    comparing every slot after every kill; returns the update paths hit."""
-    m = CompressedAnnotationMatrix(PrimeField(p), debug=True)
+    comparing every slot after every kill and a signed sum with its field
+    calls after every step; returns the update paths hit."""
+    field = OpCountingField(p)
+    m = CompressedAnnotationMatrix(field, debug=True)
     model: dict[int, dict[int, int]] = {}
     live: list[int] = []
     paths: set[str] = set()
-    for kind, *args in program:
-        nonzero = [x for x in model.values() if x]
-        if kind == "random" and live:
-            a = {live[i % len(live)]: c for i, c in args[0]}
-        elif kind == "multiple" and nonzero:
-            # k * u cancels u's column; extra entries let it survive
-            i, k, extra = args
-            a = {row: k * c for row, c in nonzero[i % len(nonzero)].items()}
-            for i, c in extra:
-                row = live[i % len(live)]
-                a[row] = a.get(row, 0) + c
-        elif kind == "difference" and nonzero:
-            u, v = (nonzero[i % len(nonzero)] for i in args[:2])
-            a = {row: args[2] * (u.get(row, 0) - v.get(row, 0)) for row in u | v}
-        elif kind == "zero":
-            m.assign_zero(len(model))
-            model[len(model)] = {}
-            continue
-        else:
-            live.append(m.create_cocycle(len(model)))
-            model[len(model)] = {live[-1]: 1}
-            continue
-        a_bd = _vector({row: c % p for row, c in a.items()})
-        if not a_bd:
-            continue
-        paths |= _paths({_vector(x) for x in nonzero}, a_bd, p)
-        assert m.kill_cocycle(a_bd) == a_bd[-1][0]
-        live.remove(a_bd[-1][0])
-        for slot, x in model.items():
-            model[slot] = _dense_kill(x, a_bd, p)
-            assert m.find_annotation(slot) == _vector(model[slot]), (slot, a_bd)
+    for op, terms in program:
+        paths |= _apply(m, model, live, op, p)
+        slots = [i % len(model) for i in terms]
+        expected, ops = _model_signed_sum([model[i] for i in slots], p)
+        before = field.ops
+        assert m.signed_sum(slots) == expected, slots
+        assert field.ops - before == ops, slots
+    return paths
+
+
+def _apply(m, model, live, op, p) -> set[str]:
+    """One operation of a program; returns the update paths a kill hit."""
+    kind, *args = op
+    nonzero = [x for x in model.values() if x]
+    if kind == "random" and live:
+        a = {live[i % len(live)]: c for i, c in args[0]}
+    elif kind == "multiple" and nonzero:
+        # k * u cancels u's column; extra entries let it survive
+        i, k, extra = args
+        a = {row: k * c for row, c in nonzero[i % len(nonzero)].items()}
+        for i, c in extra:
+            row = live[i % len(live)]
+            a[row] = a.get(row, 0) + c
+    elif kind == "difference" and nonzero:
+        u, v = (nonzero[i % len(nonzero)] for i in args[:2])
+        a = {row: args[2] * (u.get(row, 0) - v.get(row, 0)) for row in u | v}
+    elif kind == "zero":
+        m.assign_zero(len(model))
+        model[len(model)] = {}
+        return set()
+    else:
+        live.append(m.create_cocycle(len(model)))
+        model[len(model)] = {live[-1]: 1}
+        return set()
+    a_bd = _vector({row: c % p for row, c in a.items()})
+    if not a_bd:
+        return set()
+    paths = _paths({_vector(x) for x in nonzero}, a_bd, p)
+    assert m.kill_cocycle(a_bd) == a_bd[-1][0]
+    live.remove(a_bd[-1][0])
+    for slot, x in model.items():
+        model[slot] = _dense_kill(x, a_bd, p)
+        assert m.find_annotation(slot) == _vector(model[slot]), (slot, a_bd)
     return paths
 
 

@@ -6,9 +6,7 @@ import pytest
 
 from camph import (
     PrimeField,
-    SimplexTree,
     build_rips,
-    close_complex,
     compute_persistence,
     diagram_equal,
     pairwise_distances,
@@ -60,6 +58,11 @@ def test_invalid_arguments():
         build_rips([[0.0]], math.nan, 1)
     with pytest.raises(ValueError):
         build_rips([[0.0]], 1.0, -1)
+    # a fractional or boolean cap used to be ignored or read as 0/1
+    eight = [[float(i)] for i in range(8)]
+    for bad in (1.5, 2.0, True, "2", None):
+        with pytest.raises(ValueError, match="max_dim"):
+            build_rips(eight, 10.0, bad)
     with pytest.raises(DimensionMismatch):
         pairwise_distances([0.0, 1.0])
 
@@ -98,39 +101,6 @@ def test_rips_corpus_is_valid():
     for c in random_rips_corpus(count=5, seed=1):
         assert c.finalized
         assert c.dimension <= 3
-
-
-def test_close_complex_fills_triangle():
-    t = SimplexTree()
-    t.insert_simplex([0, 1, 2], 1.0)
-    close_complex(t)
-    t.finalize()
-    assert len(t) == 7
-    assert all(v == 1.0 for _, v in t.simplices())
-
-
-def test_close_complex_minimum_over_cofaces():
-    t = SimplexTree()
-    t.insert_simplex([0, 1], 1.0)
-    t.insert_simplex([0, 1, 2], 2.0)
-    close_complex(t)
-    t.finalize()
-    assert t.value((0,)) == 1.0
-    assert t.value((1,)) == 1.0
-    assert t.value((2,)) == 2.0
-    assert t.value((0, 2)) == 2.0
-    assert t.value((1, 2)) == 2.0
-    assert t.value((0, 1)) == 1.0
-
-
-def test_close_complex_noop_on_closed_input():
-    t = SimplexTree()
-    t.insert_simplex([0], 0.0)
-    t.insert_simplex([1], 0.0)
-    t.insert_simplex([0, 1], 1.0)
-    before = sorted(t.simplices())
-    close_complex(t)
-    assert sorted(t.simplices()) == before
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

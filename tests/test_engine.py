@@ -4,9 +4,8 @@ from collections import Counter
 import pytest
 
 from camph import (
-    Created,
+    CompressedAnnotationMatrix,
     EngineOptions,
-    Killed,
     PersistenceDiagram,
     PersistenceEngine,
     PersistencePair,
@@ -33,16 +32,33 @@ F11 = PrimeField(11)
 STANDARD = EngineOptions(lazy=False, reorder=False)
 
 
+@pytest.fixture
+def killed_rows(monkeypatch):
+    """The rows kill_cocycle returns, in call order."""
+    rows = []
+    kill = CompressedAnnotationMatrix.kill_cocycle
+
+    def recording(self, a_bd):
+        rows.append(kill(self, a_bd))
+        return rows[-1]
+
+    monkeypatch.setattr(CompressedAnnotationMatrix, "kill_cocycle", recording)
+    return rows
+
+
 def test_vertex_into_empty_complex_creates_row_zero():
     t = SimplexTree()
     t.insert_simplex([0], 0.0)
     t.finalize()
     engine = PersistenceEngine(t, F2, STANDARD)
-    assert engine.insert((0,)) == Created(0)
+    assert engine.insert((0,)) is None
     assert engine.live_cocycle_count(0) == 1
+    assert engine._matrix(0).find_annotation(t.key((0,))) == ((0, 1),)
+    pair = engine.finish().pairs[0]
+    assert (pair.triple, pair.creator) == ((0, 0.0, math.inf), (0,))
 
 
-def test_edge_kills_younger_vertex_class():
+def test_edge_kills_younger_vertex_class(killed_rows):
     t = SimplexTree()
     t.insert_simplex([0], 0.0)
     t.insert_simplex([1], 0.5)
@@ -51,21 +67,28 @@ def test_edge_kills_younger_vertex_class():
     engine = PersistenceEngine(t, F11, STANDARD)
     engine.insert((0,))
     engine.insert((1,))
-    outcome = engine.insert((0, 1))
-    assert isinstance(outcome, Killed)
-    assert outcome.row == 1  # the younger class dies
-    assert outcome.pair.triple == (0, 0.5, 1.0)
-    assert outcome.pair.creator == (1,)
-    assert outcome.pair.killer == (0, 1)
+    engine.insert((0, 1))
+    assert killed_rows == [1]  # the younger class dies
+    assert engine.live_cocycle_count(0) == 1
+    essential, pair = engine.finish()  # sorted by (dim, birth, death)
+    assert pair.triple == (0, 0.5, 1.0)
+    assert pair.creator == (1,)
+    assert pair.killer == (0, 1)
+    assert essential.creator == (0,)
 
 
-def test_cycle_closing_edge_creates_dim1_class():
+def test_cycle_closing_edge_creates_dim1_class(killed_rows):
     c = hollow_triangle()
     engine = PersistenceEngine(c, F2, STANDARD)
-    for simplex in c.filtration_order():
-        outcome = engine.insert(simplex)
-    assert isinstance(outcome, Created)  # third edge closes the loop
+    *rest, last = c.filtration_order()
+    for simplex in rest:
+        engine.insert(simplex)
+    kills = len(killed_rows)
+    assert engine.live_cocycle_count(1) == 0
+    engine.insert(last)  # third edge closes the loop
+    assert len(killed_rows) == kills
     assert engine.live_cocycle_count(1) == 1
+    assert engine.finish().pairs[-1].creator == last
 
 
 def test_duplicate_insertion_rejected():
@@ -77,9 +100,13 @@ def test_duplicate_insertion_rejected():
 
 
 def test_missing_face_detected():
+    # the message names the first face, in boundary order, not inserted
     c = full_triangle()
     engine = PersistenceEngine(c, F2, STANDARD)
-    with pytest.raises(MissingFace):
+    with pytest.raises(MissingFace, match=r"face \(1,\) of \(0, 1\)"):
+        engine.insert((0, 1))
+    engine.insert((1,))
+    with pytest.raises(MissingFace, match=r"face \(0,\) of \(0, 1\)"):
         engine.insert((0, 1))
 
 
@@ -172,7 +199,7 @@ def test_mixed_entry_points_match_oracle():
         assert diagram_equal(engine.finish(), oracle_reduce(c, field)), name
 
 
-def test_killed_row_is_maximal_row_of_boundary():
+def test_killed_row_is_maximal_row_of_boundary(killed_rows):
     for c in random_rips_corpus(count=5, seed=17):
         engine = PersistenceEngine(c, F11, STANDARD)
         for simplex in c.filtration_order():
@@ -180,9 +207,12 @@ def test_killed_row_is_maximal_row_of_boundary():
                 engine.insert(simplex)
                 continue
             a_bd = engine._boundary_annotation(c.key(simplex))
-            outcome = engine.insert(simplex)
-            if isinstance(outcome, Killed):
-                assert a_bd and outcome.row == a_bd[-1][0]
+            kills = len(killed_rows)
+            engine.insert(simplex)
+            if a_bd:
+                assert killed_rows[kills:] == [a_bd[-1][0]]
+            else:
+                assert len(killed_rows) == kills
 
 
 def test_prefix_live_counts_match_oracle_betti():

@@ -5,20 +5,13 @@ import pytest
 from camph import (
     PersistenceDiagram,
     PersistencePair,
-    PrimeField,
-    compute_persistence,
     format_diagram,
-    read_diagram,
     read_filtration,
     read_points,
-    write_diagram,
-    write_filtration,
 )
 from camph.errors import ClosureViolation, MonotonicityViolation, ParseError
 
-from tests.fixtures import full_triangle, torus_7
-
-F2 = PrimeField(2)
+from tests.fixtures import torus_7
 
 
 def test_read_filtration_line(tmp_path):
@@ -81,41 +74,22 @@ def test_read_filtration_surfaces_validation_errors(tmp_path):
 
 
 def test_filtration_round_trip(tmp_path):
-    path = tmp_path / "torus.flt"
+    # values written with repr, as the file format says, read back exactly
     original = torus_7()
-    write_filtration(original, path)
+    path = tmp_path / "torus.flt"
+    path.write_text(
+        "".join(
+            " ".join([repr(value), *map(str, simplex)]) + "\n"
+            for simplex, value in original.simplices()
+        )
+    )
     loaded = read_filtration(path)
     assert sorted(loaded.simplices()) == sorted(original.simplices())
-    # and byte-stable on a second write
-    second = tmp_path / "torus2.flt"
-    write_filtration(loaded, second)
-    assert path.read_bytes() == second.read_bytes()
 
 
-def test_diagram_round_trip_and_idempotent_format(tmp_path):
-    diagram, _ = compute_persistence(full_triangle(), F2)
-    path = tmp_path / "tri.dgm"
-    write_diagram(diagram, path)
-    loaded = read_diagram(path)
-    assert loaded.multiset() == diagram.multiset()
-    again = tmp_path / "tri2.dgm"
-    write_diagram(loaded, again)
-    assert path.read_bytes() == again.read_bytes()
-
-
-def test_essential_class_written_as_inf(tmp_path):
+def test_essential_class_written_as_inf():
     d = PersistenceDiagram([PersistencePair(0, 0.0, math.inf)])
     assert format_diagram(d) == "0 0.0 inf\n"
-    path = tmp_path / "e.dgm"
-    write_diagram(d, path)
-    assert read_diagram(path).triples() == [(0, 0.0, math.inf)]
-
-
-def test_diagram_parse_error(tmp_path):
-    path = tmp_path / "bad.dgm"
-    path.write_text("0 0.0\n")
-    with pytest.raises(ParseError):
-        read_diagram(path)
 
 
 def test_comments_and_blank_lines_skipped(tmp_path):

@@ -6,7 +6,6 @@ import pytest
 
 from camph import (
     EngineOptions,
-    IsoSlab,
     PrimeField,
     SimplexTree,
     compute_persistence,
@@ -16,6 +15,7 @@ from camph import (
     slab_partition,
 )
 from camph.errors import SlabNotRelativelyClosed
+from camph.reorder import IsoSlab
 
 from tests.fixtures import (
     canned_complexes,

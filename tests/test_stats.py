@@ -6,11 +6,13 @@ from pathlib import Path
 from camph import (
     EngineOptions,
     PrimeField,
+    RunStats,
     SimplexTree,
     compute_persistence,
     format_diagram,
     format_stats,
 )
+from camph.field import OpCountingField
 
 from tests.fixtures import canned_complexes, full_triangle, random_rips_corpus
 
@@ -61,6 +63,18 @@ def test_stats_disabled_by_default():
     _, stats = compute_persistence(full_triangle(), F2)
     assert stats.field_ops == 0
     assert stats.g_max_total == 0
+
+
+def test_field_ops_count_this_run_only():
+    # a caller's counting field shows through neither with stats off nor,
+    # with its earlier history, in a run with stats on
+    field = OpCountingField(2)
+    plain = EngineOptions(lazy=False, reorder=False)
+    _, off = compute_persistence(full_triangle(), field, plain)
+    assert off == RunStats()
+    _, fresh = compute_persistence(full_triangle(), F2, STANDARD_STATS)
+    _, reused = compute_persistence(full_triangle(), field, STANDARD_STATS)
+    assert reused.field_ops == fresh.field_ops == 13
 
 
 def test_distinct_column_peaks_stay_bounded():
