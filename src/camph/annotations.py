@@ -5,12 +5,14 @@ vectors are sorted tuples of ``(row, coefficient)`` pairs with every
 coefficient nonzero, the empty tuple being the zero vector. This module is
 the only one that reads or builds them: callers hand the matrix slots and
 get back the signed boundary sum that ``kill_cocycle`` takes. One matrix per
-simplex dimension stores each distinct nonzero column exactly once, shares
-columns between simplices through a union-find forest, and indexes each
-live row by a dict from column to its coefficient there, so that destroying
-a cocycle touches only the columns that actually meet its row (the paper's
-doubly linked row lists, with the same O(1) insert and delete). A class
-whose root owns no column has the zero vector.
+simplex dimension stores each distinct nonzero column exactly once and
+indexes each live row by a dict from column to its coefficient there, so
+that destroying a cocycle touches only the columns that actually meet its
+row (the paper's doubly linked row lists, with the same O(1) insert and
+delete). Each slot points straight at a column; killers share one zero
+column. A column that becomes equal to a stored one forwards to it, so the
+forwarding pointers form a union-find forest over columns, walked with path
+compression.
 
 Destroying a cocycle with boundary annotation a_bd costs one modular
 inverse, then O(|column| + |a_bd|) per touched column: one merge pass
@@ -29,21 +31,22 @@ from .field import PrimeField
 
 AnnotationVector = tuple[tuple[int, int], ...]
 
-ZERO: AnnotationVector = ()
-
 
 class _Column:
-    """One distinct nonzero annotation vector, owned by one class root.
+    """One annotation vector shared by the slots that point at it.
 
+    A column is stored (the only one with its nonzero key), zero (key
+    ``()``, stored nowhere) or forwarded: ``forward`` is the column it
+    became equal to, and it keeps no key and no row entries.
     Hashed by identity, so a row dict keyed by columns costs O(1) per
     operation whatever the vector's length.
     """
 
-    __slots__ = ("key", "owner")
+    __slots__ = ("key", "forward")
 
-    def __init__(self, key: AnnotationVector, owner: int):
+    def __init__(self, key: AnnotationVector):
         self.key = key
-        self.owner = owner
+        self.forward: _Column | None = None
 
 
 class CompressedAnnotationMatrix:
@@ -51,10 +54,10 @@ class CompressedAnnotationMatrix:
 
     Slots are caller-chosen hashable ids (one per simplex). Each slot is
     assigned exactly once, either to a fresh unit column (creation) or to
-    a class of its own without a column (destruction, the zero vector);
-    later updates may merge classes whose columns become equal. Row
-    indices grow monotonically and are never reused, so the maximal row
-    of a boundary annotation is always the youngest contributing cocycle.
+    the shared zero column (destruction); later updates may forward a
+    column to an equal one. Row indices grow monotonically and are never
+    reused, so the maximal row of a boundary annotation is always the
+    youngest contributing cocycle.
     """
 
     def __init__(self, field: PrimeField, debug: bool = False):
@@ -63,9 +66,8 @@ class CompressedAnnotationMatrix:
         self._columns: dict[AnnotationVector, _Column] = {}
         # live row -> {column: its nonzero coefficient in that row}
         self._rows: dict[int, dict[_Column, int]] = {}
-        self._parent: dict[int, int] = {}
-        self._rank: dict[int, int] = {}
-        self._root_column: dict[int, _Column] = {}  # nonzero class roots only
+        self._slots: dict[object, _Column] = {}
+        self._zero = _Column(())
         self._next_row = 0
         self._nnz = 0
 
@@ -86,7 +88,7 @@ class CompressedAnnotationMatrix:
         return self._nnz
 
     def is_assigned(self, slot) -> bool:
-        return slot in self._parent
+        return slot in self._slots
 
     # ------------------------------------------------------------------
     # operations
@@ -110,31 +112,35 @@ class CompressedAnnotationMatrix:
         All other columns keep an implicit zero in the new row, so the
         sparse store needs no padding.
         """
-        self._make_set(slot)
+        self._check_free(slot)
         if row is None:
             row = self.reserve_row()
         elif row >= self._next_row or row in self._rows:
             raise InvariantViolation(f"row {row} was not reserved or is live")
-        self._rows[row] = {}
-        column = _Column(((row, 1),), slot)
-        self._store(column)
-        self._root_column[slot] = column
+        column = _Column(((row, 1),))
+        self._rows[row] = {column: 1}
+        self._columns[column.key] = column
+        self._nnz += 1
+        self._slots[slot] = column
         if self._debug:
             self.check_invariants()
         return row
 
     def assign_zero(self, slot) -> None:
-        """Give ``slot`` the zero annotation: a class without a column."""
-        self._make_set(slot)
+        """Give ``slot`` the zero annotation: the shared zero column."""
+        self._check_free(slot)
+        self._slots[slot] = self._zero
         if self._debug:
             self.check_invariants()
 
     def find_annotation(self, slot) -> AnnotationVector:
-        """Vector of the slot's class root (the zero vector for killers)."""
-        if slot not in self._parent:
+        """Vector of the column the slot points at, after any forwards."""
+        column = self._slots.get(slot)
+        if column is None:
             raise UnassignedSlot(f"slot {slot!r} has no annotation")
-        column = self._root_column.get(self._find(slot))
-        return column.key if column is not None else ZERO
+        if column.forward is not None:
+            column = self._find(slot)
+        return column.key
 
     def signed_sum(self, slots) -> AnnotationVector:
         """Sum over j of (-1)^j times the annotation of ``slots[j]``.
@@ -172,8 +178,9 @@ class CompressedAnnotationMatrix:
 
         Let (j, c) be the maximal-row entry of the argument. Every column
         holding f != 0 in row j receives ``-f/c`` times the argument, which
-        zeroes row j everywhere at once; updated columns are
-        re-canonicalized, merging classes whose vectors collide. Returns j.
+        zeroes row j everywhere at once; a column that cancels takes the
+        zero key, and one that collides with a stored column forwards to
+        it. Returns j.
 
         The arithmetic is done inline; the field is charged the calls the
         same update makes through it: per touched column a negation and a
@@ -191,7 +198,6 @@ class CompressedAnnotationMatrix:
         p = self._field.p
         inv = pow(c_j, -1, p)
         columns = self._columns
-        root_column = self._root_column
         # the row operation is simultaneous: every touched column leaves the
         # key index before any new key is looked up, so a new key collides
         # only with an untouched column or one already rewritten here
@@ -237,21 +243,14 @@ class CompressedAnnotationMatrix:
             ops += 2 + shared + (n_bd if lam != 1 else 0)
             new_key = tuple(out) + key[i:]
             self._nnz += len(new_key) - len(key)
-            root = self._find(column.owner)
-            if not new_key:
-                del root_column[root]
-                continue
-            existing = columns.setdefault(new_key, column)
-            if existing is column:
-                column.key = new_key
-                continue
-            for row, _ in new_key:
-                del rows[row][column]
-            self._nnz -= len(new_key)
-            other = self._find(existing.owner)
-            del root_column[root]
-            del root_column[other]
-            root_column[self._union(root, other)] = existing
+            existing = columns.setdefault(new_key, column) if new_key else column
+            if existing is not column:
+                # equal to a stored column: drop this copy, keeping no key
+                for row, _ in new_key:
+                    del rows[row][column]
+                self._nnz -= len(new_key)
+                new_key, column.forward = (), existing
+            column.key = new_key
         self._field.charge(ops)
         if rows[row_j]:
             raise InvariantViolation(f"row {row_j} survived its destruction")
@@ -263,38 +262,20 @@ class CompressedAnnotationMatrix:
     # ------------------------------------------------------------------
     # internals
 
-    def _store(self, column: _Column) -> None:
-        rows = self._rows
-        for row, coeff in column.key:
-            rows[row][column] = coeff
-        self._columns[column.key] = column
-        self._nnz += len(column.key)
-
-    def _make_set(self, slot) -> None:
-        if slot in self._parent:
+    def _check_free(self, slot) -> None:
+        if slot in self._slots:
             raise SlotAlreadyAssigned(f"slot {slot!r} is already assigned")
-        self._parent[slot] = slot
-        self._rank[slot] = 0
 
-    def _find(self, x):
-        parent = self._parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
+    def _find(self, slot) -> _Column:
+        # the end of the slot's forwarding chain; every column on the chain,
+        # and the slot itself, is then pointed straight at it
+        column = root = self._slots[slot]
+        while root.forward is not None:
+            root = root.forward
+        while column is not root:
+            column.forward, column = root, column.forward
+        self._slots[slot] = root
         return root
-
-    def _union(self, ra, rb):
-        # both arguments must be roots; returns the surviving root
-        if ra == rb:
-            return ra
-        if self._rank[ra] < self._rank[rb]:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        if self._rank[ra] == self._rank[rb]:
-            self._rank[ra] += 1
-        return ra
 
     # ------------------------------------------------------------------
     # debug checking
@@ -330,14 +311,14 @@ class CompressedAnnotationMatrix:
             stored += len(key)
         if not (self._nnz == stored == indexed):
             raise InvariantViolation("nonzero counter out of sync")
-        # class forest <-> distinct columns
-        for root in self._root_column:
-            if self._parent.get(root) != root:
-                raise InvariantViolation("column payload on a non-root")
-        owned = set(self._root_column.values())
-        same = owned == set(self._columns.values())
-        if not same or len(self._root_column) != len(self._columns):
-            raise InvariantViolation("roots and distinct columns not in bijection")
-        for root, column in self._root_column.items():
-            if self._find(column.owner) != root:
-                raise InvariantViolation("column owner left its class")
+        # every slot's chain ends at a zero column or a stored one, and every
+        # stored column ends some chain; so a forwarded column is neither
+        # stored nor, by the row check above, in any row
+        ends = set()
+        for column in self._slots.values():
+            while column.forward is not None:
+                column = column.forward
+            if column.key:
+                ends.add(column)
+        if ends != set(self._columns.values()):
+            raise InvariantViolation("stored columns and nonzero chain ends differ")

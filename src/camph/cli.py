@@ -117,6 +117,9 @@ def run(args: argparse.Namespace) -> int:
                 return EXIT_INPUT
             points = formats.read_points(args.input)
             complex = build_rips(points, args.rips_max_edge, args.max_dim)
+        elif args.rips_max_edge is not None or args.max_dim is not None:
+            _fail("--rips-max-edge and --max-dim apply to points input only")
+            return EXIT_INPUT
         else:
             complex = formats.read_filtration(args.input)
     except _INPUT_ERRORS as exc:

@@ -8,20 +8,34 @@ from __future__ import annotations
 
 from .errors import CompositeModulus, DivisionByZero
 
+# Miller-Rabin with the first twelve primes as bases is exact for every n
+# below _PSI_12, the least strong pseudoprime to all of them (Sorenson and
+# Webster, "Strong pseudoprimes to twelve prime bases", 2017)
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PSI_12 = 318665857834031151167461
+
 
 def is_prime(n: int) -> bool:
-    """Deterministic trial division up to sqrt(n)."""
+    """Deterministic Miller-Rabin; raises ValueError for n >= _PSI_12."""
+    if n >= _PSI_12:
+        raise ValueError(f"{n} is too large to test exactly (limit {_PSI_12})")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    if n % 3 == 0:
-        return n == 3
-    f = 5
-    while f * f <= n:
-        if n % f == 0 or n % (f + 2) == 0:
+    for a in _BASES:
+        if n % a == 0:
+            return n == a
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s, d odd
+    d = (n - 1) >> s
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 6
     return True
 
 
@@ -34,7 +48,9 @@ class PrimeField:
     __slots__ = ("p",)
 
     def __init__(self, p: int):
-        if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p):
+        if isinstance(p, bool) or not isinstance(p, int) or not p < 2**64:
+            raise CompositeModulus(f"{p!r} is not a prime modulus below 2**64")
+        if not is_prime(p):
             raise CompositeModulus(f"{p!r} is not a prime modulus")
         self.p = p
 

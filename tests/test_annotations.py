@@ -1,8 +1,11 @@
+from collections import Counter
+
 import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from camph import CompressedAnnotationMatrix, PrimeField
+from camph.annotations import _Column
 from camph.errors import (
     InvariantViolation,
     SlotAlreadyAssigned,
@@ -212,6 +215,22 @@ def test_kill_updates_multi_entry_column_z2():
     assert m.live_row_count == 1
 
 
+def test_forward_chain_followed_and_compressed():
+    # with no lookup between the kills, b's column forwards to a's, a's to
+    # x's and x's to w's: b reaches w's column over three forwards
+    m = CompressedAnnotationMatrix(F2, debug=True)
+    for slot in "wxab":
+        m.create_cocycle(slot)
+    m.kill_cocycle(((2, 1), (3, 1)))  # b's column becomes a's
+    m.kill_cocycle(((1, 1), (2, 1)))  # a's column becomes x's
+    m.kill_cocycle(((0, 1), (1, 1)))  # x's column becomes w's
+    assert m.find_annotation("b") == ((0, 1),)
+    assert m._slots["b"] is m._slots["w"]  # compressed onto the chain's end
+    for slot in "wxa":
+        assert m.find_annotation(slot) == ((0, 1),)
+    assert m.distinct_column_count == 1
+
+
 def test_kill_arithmetic_z11():
     # the column update is A + (-f/c_j) * a_bd; for A = [(1,1)],
     # a_bd = [(0,3),(1,4)]: lambda = -1/4 = 8, so A becomes
@@ -292,8 +311,15 @@ def _bump_nonzero_count(m):
     m._nnz += 1
 
 
+def _point_at_unindexed_column(m):
+    # a copy of slot "a"'s column: equal key, but not the stored object
+    m._slots["b"] = _Column(m.find_annotation("a"))
+
+
 @pytest.mark.parametrize(
-    "corrupt", [_drop_row_entry, _change_coefficient, _bump_nonzero_count]
+    "corrupt",
+    [_drop_row_entry, _change_coefficient, _bump_nonzero_count,
+     _point_at_unindexed_column],
 )
 def test_audit_catches_corruption(corrupt):
     # row 0 holds two columns, ((0, 1),) and ((0, 2),); row 2 holds one
@@ -322,7 +348,7 @@ def test_audit_catches_corruption(corrupt):
 # after the operation.
 
 PRIMES = (2, 3, 7919)
-PATHS = ("survive", "cancel", "merge")
+PATHS = ("survive", "cancel", "merge", "remerge", "cancel_merged")
 
 
 def _programs(p):
@@ -357,19 +383,25 @@ def _dense_kill(x: dict[int, int], a_bd, p) -> dict[int, int]:
     return dict(_vector(out))
 
 
-def _paths(columns, a_bd, p) -> set[str]:
-    """How the kill updates each distinct column meeting row j."""
+def _paths(slots_per_vector: Counter, a_bd, p) -> set[str]:
+    """How the kill updates each distinct column meeting row j; a column
+    that already stands for two or more slots (an earlier merge) adds the
+    paths "remerge" when it collides again and "cancel_merged" when it
+    cancels."""
     row_j = a_bd[-1][0]
-    after = {v: _vector(_dense_kill(dict(v), a_bd, p)) for v in columns}
+    after = {v: _vector(_dense_kill(dict(v), a_bd, p)) for v in slots_per_vector}
     paths = set()
     for v, w in after.items():
         if dict(v).get(row_j):
             if not w:
-                paths.add("cancel")
+                path = "cancel"
             elif list(after.values()).count(w) > 1:
-                paths.add("merge")
+                path = "merge"
             else:
-                paths.add("survive")
+                path = "survive"
+            paths.add(path)
+            if slots_per_vector[v] > 1 and path != "survive":
+                paths.add({"cancel": "cancel_merged", "merge": "remerge"}[path])
     return paths
 
 
@@ -435,7 +467,7 @@ def _apply(m, model, live, op, p) -> set[str]:
     a_bd = _vector({row: c % p for row, c in a.items()})
     if not a_bd:
         return set()
-    paths = _paths({_vector(x) for x in nonzero}, a_bd, p)
+    paths = _paths(Counter(_vector(x) for x in nonzero), a_bd, p)
     assert m.kill_cocycle(a_bd) == a_bd[-1][0]
     live.remove(a_bd[-1][0])
     for slot, x in model.items():

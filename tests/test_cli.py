@@ -260,8 +260,13 @@ TRI = str(DATA / "tri.flt")
         (["--input", TRI, "--format", "filtration", "--field", "two"], "--field"),
         (["--format", "filtration", "--field", "2"], "--input"),
         (["--input", TRI, "--format", "filtration"], "--field"),
+        (["--input", TRI, "--format", "filtration", "--field", "2",
+          "--max-dim", "0", "--rips-max-edge", "0.1"], "points input only"),
+        (["--input", TRI, "--format", "filtration", "--field",
+          "100000000000000000039"], "2**64"),
     ],
-    ids=["unknown-flag", "bad-max-dim", "bad-field", "missing-input", "missing-field"],
+    ids=["unknown-flag", "bad-max-dim", "bad-field", "missing-input", "missing-field",
+         "points-flags-on-filtration", "oversized-field"],
 )
 def test_usage_error_exits_1(args, message, capsys):
     # argparse alone prints the usage and exits 2, which is the engine-error code
