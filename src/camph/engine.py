@@ -9,6 +9,15 @@ dimension, a nonvanishing sum destroys the youngest class contributing to
 it one dimension below and pairs that class's creator with the new
 simplex. Live classes at the end become essential pairs.
 
+Annotations exist only to answer later boundary sums, and no simplex of
+the complex's top dimension is a face of anything, so that dimension gets
+no matrix: a top creator becomes an essential class with no row, column
+or slot, and a top killer only destroys a class one dimension down. This
+is the top-dimensional case of clearing (Bauer, Kerber & Reininghaus,
+"Clear and Compress", arXiv 1303.0477). The run statistics still count
+each live top class as one row, column and nonzero, at the moment its
+creation would have stored them.
+
 Two insertion-order strategies are available: deferring each creator
 until one of its cofaces arrives, and reordering equal-value blocks; both
 leave the diagram unchanged.
@@ -60,10 +69,18 @@ class PersistenceEngine:
         self.field = field
         self._simplex_of = complex.simplex_of
         self._value_of = complex.value_of
+        self._dim_of = complex.dim_of
         self._faces_of = complex.faces_of
-        self._matrices: dict[int, CompressedAnnotationMatrix] = {}
-        # per dimension: live row -> creator key
-        self._creators: dict[int, dict[int, int]] = {}
+        self._top = top = complex.dimension
+        # one matrix per dimension below the top; the top stores nothing
+        self._matrices = [
+            CompressedAnnotationMatrix(field, debug=self.options.debug)
+            for _ in range(top)
+        ]
+        # per dimension: live row -> creator key; a top creator's row is
+        # its own key
+        self._creators: list[dict[int, int]] = [{} for _ in range(top + 1)]
+        self._top_inserted: set[int] = set()
         self._pairs: list[PersistencePair] = []
         self._marked: dict[int, int] = {}  # key -> reserved row
         self._finished = False
@@ -101,8 +118,7 @@ class PersistenceEngine:
         for key in list(self._marked):
             self._insert_creator(key, self._marked.pop(key))
         pairs = list(self._pairs)
-        for dim in sorted(self._creators):
-            rows = self._creators[dim]
+        for dim, rows in enumerate(self._creators):
             for row in sorted(rows):
                 creator = rows[row]
                 simplex, birth = self._simplex_of[creator], self._value_of[creator]
@@ -118,8 +134,7 @@ class PersistenceEngine:
         return self.complex.key(simplex) in self._marked
 
     def live_cocycle_count(self, dim: int) -> int:
-        matrix = self._matrices.get(dim)
-        return matrix.live_row_count if matrix is not None else 0
+        return len(self._creators[dim]) if 0 <= dim <= self._top else 0
 
     def stats(self) -> RunStats:
         if self._collector is None:
@@ -129,13 +144,6 @@ class PersistenceEngine:
     # ------------------------------------------------------------------
     # internals
 
-    def _matrix(self, dim: int) -> CompressedAnnotationMatrix:
-        matrix = self._matrices.get(dim)
-        if matrix is None:
-            matrix = CompressedAnnotationMatrix(self.field, debug=self.options.debug)
-            self._matrices[dim] = matrix
-        return matrix
-
     def _insert(self, key: int, defer: bool) -> None:
         """The one insertion core behind insert() and lazy_evaluation().
 
@@ -144,34 +152,40 @@ class PersistenceEngine:
         boundary sum then marks the simplex when ``defer`` is set and
         creates a class otherwise.
         """
-        row = self._marked.pop(key, None)
-        if row is not None:
-            self._insert_creator(key, row)
-            return
         marked = self._marked
-        deferred = [face for face in self._faces_of[key] if face in marked]
-        deferred.sort(key=marked.__getitem__)
-        for face in deferred:
-            # through the public method, so that wrappers see every insertion
-            self.lazy_evaluation(self._simplex_of[face])
+        if marked:
+            row = marked.pop(key, None)
+            if row is not None:
+                self._insert_creator(key, row)
+                return
+            deferred = [face for face in self._faces_of[key] if face in marked]
+            if deferred:
+                deferred.sort(key=marked.__getitem__)
+                for face in deferred:
+                    # through the public method, so wrappers see every insertion
+                    self.lazy_evaluation(self._simplex_of[face])
         a_bd = self._boundary_annotation(key)
-        dim = len(self._simplex_of[key]) - 1
-        if self._matrix(dim).is_assigned(key):
+        dim = self._dim_of[key]
+        top = dim == self._top
+        inserted = key in self._top_inserted if top else self._matrices[dim].is_assigned(key)
+        if inserted:
             raise SlotAlreadyAssigned(
                 f"simplex {self._simplex_of[key]} was already inserted"
             )
         if a_bd:
-            self._insert_killer(key, a_bd)
-        elif defer:
-            marked[key] = self._matrix(dim).reserve_row()
-        else:
+            self._insert_killer(key, dim, a_bd)
+        elif not defer:
             self._insert_creator(key)
+        elif top:
+            marked[key] = key
+        else:
+            marked[key] = self._matrices[dim].reserve_row()
 
     def _boundary_annotation(self, key: int) -> tuple:
         faces = self._faces_of[key]
         if not faces:
             return ()
-        matrix = self._matrix(len(faces) - 2)
+        matrix = self._matrices[len(faces) - 2]
         try:
             return matrix.signed_sum(faces)
         except UnassignedSlot:
@@ -182,15 +196,22 @@ class PersistenceEngine:
             ) from None
 
     def _insert_creator(self, key: int, row: int | None = None) -> None:
-        dim = len(self._simplex_of[key]) - 1
-        row = self._matrix(dim).create_cocycle(key, row=row)
-        self._creators.setdefault(dim, {})[row] = key
+        dim = self._dim_of[key]
+        if dim == self._top:
+            # never a face, so its annotation is never read: only counted
+            self._top_inserted.add(key)
+            row = key
+        else:
+            row = self._matrices[dim].create_cocycle(key, row=row)
+        self._creators[dim][row] = key
         self._sample()
 
-    def _insert_killer(self, key: int, a_bd: tuple) -> None:
-        dim = len(self._simplex_of[key]) - 1
-        row = self._matrix(dim - 1).kill_cocycle(a_bd)
-        self._matrix(dim).assign_zero(key)
+    def _insert_killer(self, key: int, dim: int, a_bd: tuple) -> None:
+        row = self._matrices[dim - 1].kill_cocycle(a_bd)
+        if dim == self._top:
+            self._top_inserted.add(key)
+        else:
+            self._matrices[dim].assign_zero(key)
         creator = self._creators[dim - 1].pop(row)
         pair = PersistencePair(
             dim - 1,
@@ -204,7 +225,7 @@ class PersistenceEngine:
 
     def _sample(self) -> None:
         if self._collector is not None:
-            self._collector.sample(self._matrices)
+            self._collector.sample(self._matrices, len(self._creators[self._top]))
 
 
 def compute_persistence(

@@ -3,8 +3,9 @@
 While building, the complex is a dict from each simplex's ascending
 vertex tuple to its filtration value. finalize() sorts it into filtration
 order once and numbers it: a simplex's key is its filtration position,
-and per-key views give each key's vertex tuple, value and boundary face
-keys, so the engine and the reordering never look a simplex up again.
+and per-key views give each key's vertex tuple, value, dimension and
+boundary face keys, so the engine and the reordering never look a simplex
+up again.
 """
 from __future__ import annotations
 
@@ -31,10 +32,11 @@ def _canonical(vertices: Iterable[int]) -> Simplex:
 class SimplexTree:
     """A filtered complex: mutable while building, frozen by finalize().
 
-    finalize() also fills three read-only views indexed by key:
-    ``simplex_of`` (the vertex tuple), ``value_of`` (the filtration value)
-    and ``faces_of`` (the boundary face keys, face j omitting vertex j and
-    carrying the sign (-1)**j; empty for vertices).
+    finalize() also fills four read-only views indexed by key:
+    ``simplex_of`` (the vertex tuple), ``value_of`` (the filtration value),
+    ``dim_of`` (the dimension) and ``faces_of`` (the boundary face keys,
+    face j omitting vertex j and carrying the sign (-1)**j; empty for
+    vertices).
     """
 
     def __init__(self):
@@ -44,6 +46,7 @@ class SimplexTree:
         self._dim = -1
         self.simplex_of: tuple[Simplex, ...] = ()
         self.value_of: tuple[float, ...] = ()
+        self.dim_of: tuple[int, ...] = ()
         self.faces_of: tuple[tuple[int, ...], ...] = ()
 
     # ------------------------------------------------------------------
@@ -92,6 +95,7 @@ class SimplexTree:
         self._keys = keys
         self.simplex_of = tuple(order)
         self.value_of = tuple(self._values[s] for s in order)
+        self.dim_of = tuple(len(s) - 1 for s in order)
         self.faces_of = tuple(faces)
         self._finalized = True
 
@@ -190,7 +194,16 @@ class SimplexTree:
         return list(self.simplex_of)
 
     def key(self, simplex: Iterable[int]) -> int:
-        """The simplex's filtration position; available after finalize()."""
+        """The simplex's filtration position; available after finalize().
+
+        A canonical vertex tuple (ascending, as ``simplex_of`` and the
+        filtration order list them) is looked up as it is; any other
+        vertex collection is sorted first.
+        """
+        if type(simplex) is tuple:
+            key = self._keys.get(simplex)
+            if key is not None:
+                return key
         if not self._finalized:
             raise RuntimeError("key() requires a finalized complex")
         verts = tuple(sorted(simplex))

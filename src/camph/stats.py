@@ -45,10 +45,16 @@ class StatsCollector:
     def __init__(self):
         self._stats = RunStats()
 
-    def sample(self, matrices) -> None:
+    def sample(self, matrices, top_rows: int) -> None:
+        """One sample: ``matrices[d]`` serves dimension d below the top.
+
+        The top dimension stores nothing, yet each of its ``top_rows``
+        live classes counts as one row, one distinct unit column and one
+        nonzero, as a stored annotation would.
+        """
         st = self._stats
-        total_g = total_s = nnz = 0
-        for dim, matrix in matrices.items():
+        total_g = total_s = nnz = top_rows
+        for dim, matrix in enumerate(matrices):
             g = matrix.live_row_count
             s = matrix.distinct_column_count
             total_g += g
@@ -58,6 +64,9 @@ class StatsCollector:
                 st.g_max_by_dim[dim] = g
             if s > st.s_max_by_dim.get(dim, -1):
                 st.s_max_by_dim[dim] = s
+        top = len(matrices)
+        if top_rows > st.g_max_by_dim.get(top, -1):
+            st.g_max_by_dim[top] = st.s_max_by_dim[top] = top_rows
         if total_g > st.g_max_total:
             st.g_max_total = total_g
         if total_s > st.s_max_total:

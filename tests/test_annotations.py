@@ -344,8 +344,8 @@ def test_audit_catches_corruption(corrupt):
 # annotations, a kill may use a multiple of a live annotation, which
 # cancels that column to zero unless extra entries are added, or a
 # multiple of the difference of two, which makes their columns collide.
-# Each step also carries a tuple of slot picks whose signed sum is checked
-# after the operation.
+# Each step also carries a tuple of slot picks whose annotations and signed
+# sum are checked after the operation; every slot is checked at the end.
 
 PRIMES = (2, 3, 7919)
 PATHS = ("survive", "cancel", "merge", "remerge", "cancel_merged")
@@ -423,8 +423,9 @@ def _model_signed_sum(vectors, p) -> tuple[tuple, int]:
 
 def _run_program(p, program) -> set[str]:
     """Replay ``program`` on an audited matrix and on the dense model,
-    comparing every slot after every kill and a signed sum with its field
-    calls after every step; returns the update paths hit."""
+    comparing the drawn slots and their signed sum with its field calls
+    after every step, and every slot at the end; returns the update paths
+    hit."""
     field = OpCountingField(p)
     m = CompressedAnnotationMatrix(field, debug=True)
     model: dict[int, dict[int, int]] = {}
@@ -433,10 +434,16 @@ def _run_program(p, program) -> set[str]:
     for op, terms in program:
         paths |= _apply(m, model, live, op, p)
         slots = [i % len(model) for i in terms]
+        # only the drawn slots are looked up, so the forwarding chains of
+        # the others grow uncompressed until the final check
+        for slot in slots:
+            assert m.find_annotation(slot) == _vector(model[slot]), slot
         expected, ops = _model_signed_sum([model[i] for i in slots], p)
         before = field.ops
         assert m.signed_sum(slots) == expected, slots
         assert field.ops - before == ops, slots
+    for slot, x in model.items():
+        assert m.find_annotation(slot) == _vector(x), slot
     return paths
 
 
@@ -472,7 +479,6 @@ def _apply(m, model, live, op, p) -> set[str]:
     live.remove(a_bd[-1][0])
     for slot, x in model.items():
         model[slot] = _dense_kill(x, a_bd, p)
-        assert m.find_annotation(slot) == _vector(model[slot]), (slot, a_bd)
     return paths
 
 

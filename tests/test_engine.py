@@ -15,6 +15,7 @@ from camph import (
     compute_persistence,
     diagram_equal,
     oracle_reduce,
+    reordered_filtration,
 )
 from camph.errors import MissingFace, SlotAlreadyAssigned
 
@@ -53,9 +54,18 @@ def test_vertex_into_empty_complex_creates_row_zero():
     engine = PersistenceEngine(t, F2, STANDARD)
     assert engine.insert((0,)) is None
     assert engine.live_cocycle_count(0) == 1
-    assert engine._matrix(0).find_annotation(t.key((0,))) == ((0, 1),)
     pair = engine.finish().pairs[0]
     assert (pair.triple, pair.creator) == ((0, 0.0, math.inf), (0,))
+    # vertices are top-dimensional there; below the top, the first class
+    # takes row 0 of the dimension's annotation matrix
+    t = SimplexTree()
+    t.insert_simplex([0], 0.0)
+    t.insert_simplex([1], 0.0)
+    t.insert_simplex([0, 1], 1.0)
+    t.finalize()
+    engine = PersistenceEngine(t, F2, STANDARD)
+    engine.insert((0,))
+    assert engine._matrices[0].find_annotation(t.key((0,))) == ((0, 1),)
 
 
 def test_edge_kills_younger_vertex_class(killed_rows):
@@ -261,3 +271,131 @@ def test_requires_finalized_complex():
     t.insert_simplex([0], 0.0)
     with pytest.raises(ValueError):
         PersistenceEngine(t, F2)
+
+
+# ----------------------------------------------------------------------
+# the top dimension stores no annotation: no simplex there is a face
+
+MODES = [
+    EngineOptions(lazy=lazy, reorder=reorder)
+    for lazy in (False, True)
+    for reorder in (False, True)
+]
+MODE_IDS = [f"lazy={o.lazy}-reorder={o.reorder}" for o in MODES]
+
+
+def _sequence(c, options):
+    return reordered_filtration(c) if options.reorder else c.filtration_order()
+
+
+def _run(c, options):
+    """An engine fed the mode's whole sequence, not yet finished."""
+    engine = PersistenceEngine(c, F2, options)
+    step = engine.lazy_evaluation if options.lazy else engine.insert
+    for simplex in _sequence(c, options):
+        step(simplex)
+    return engine, step
+
+
+@pytest.mark.parametrize("options", MODES, ids=MODE_IDS)
+def test_no_annotation_matrix_for_the_top_dimension(options, monkeypatch):
+    built = []
+    slots = []
+    init = CompressedAnnotationMatrix.__init__
+    create = CompressedAnnotationMatrix.create_cocycle
+    zero = CompressedAnnotationMatrix.assign_zero
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def recording_create(self, slot, row=None):
+        slots.append(slot)
+        return create(self, slot, row=row)
+
+    def recording_zero(self, slot):
+        slots.append(slot)
+        zero(self, slot)
+
+    monkeypatch.setattr(CompressedAnnotationMatrix, "__init__", counting_init)
+    monkeypatch.setattr(CompressedAnnotationMatrix, "create_cocycle", recording_create)
+    monkeypatch.setattr(CompressedAnnotationMatrix, "assign_zero", recording_zero)
+    complexes = list(canned_complexes().values()) + random_rips_corpus(count=5, seed=5)
+    for c in complexes:
+        built.clear()
+        slots.clear()
+        d, _ = compute_persistence(c, F2, options)
+        assert diagram_equal(d, oracle_reduce(c, F2))
+        # one matrix per dimension below the top, none for the top itself
+        assert len(built) == c.dimension
+        assert sorted(slots) == [k for k in range(len(c)) if c.dim_of[k] < c.dimension]
+
+
+@pytest.mark.parametrize("options", MODES, ids=MODE_IDS)
+def test_top_simplex_inserted_twice_rejected(options):
+    # full_triangle's top simplex kills; hollow_triangle's last edge creates
+    for c in (full_triangle(), hollow_triangle()):
+        engine, step = _run(c, options)
+        for simplex in c.filtration_order():
+            if len(simplex) - 1 != c.dimension:
+                continue
+            while engine.is_marked(simplex):
+                step(simplex)  # a deferred creator goes in on its second call
+            with pytest.raises(SlotAlreadyAssigned):
+                step(simplex)
+
+
+@pytest.mark.parametrize("options", MODES, ids=MODE_IDS)
+def test_top_killer_pairs_with_the_youngest_creator(options):
+    # the standard pairing of the mode's own insertion order, by the oracle
+    # on a copy valued by position in that order
+    complexes = list(canned_complexes().values()) + random_rips_corpus(count=10, seed=7)
+    for c in complexes:
+        sequence = _sequence(c, options)
+        by_position = SimplexTree()
+        for position, simplex in enumerate(sequence):
+            by_position.insert_simplex(simplex, position)
+        by_position.finalize()
+        expected = {
+            (q.creator, q.killer)
+            for q in oracle_reduce(by_position, F11, emit_zero_length=True)
+            if q.killer is not None and len(q.killer) - 1 == c.dimension
+        }
+        opts = EngineOptions(lazy=options.lazy, reorder=options.reorder, emit_zero_length=True)
+        d, _ = compute_persistence(c, F11, opts)
+        got = {
+            (q.creator, q.killer)
+            for q in d
+            if q.killer is not None and len(q.killer) - 1 == c.dimension
+        }
+        assert got == expected
+
+
+@pytest.mark.parametrize("options", MODES, ids=MODE_IDS)
+def test_zero_boundary_top_simplex_counted_when_created(options):
+    c = hollow_triangle()  # top dimension 1; edge (1, 2) closes the loop
+    engine, _ = _run(c, options)
+    # deferred under lazy, so not yet a live class
+    assert engine.is_marked((1, 2)) == options.lazy
+    assert engine.live_cocycle_count(1) == (0 if options.lazy else 1)
+    d = engine.finish()
+    assert engine.live_cocycle_count(1) == 1
+    assert (1, 1.0, math.inf) in d.triples()
+
+
+@pytest.mark.parametrize("options", MODES, ids=MODE_IDS)
+def test_vertices_only_complex(options):
+    t = SimplexTree()
+    for v, value in ((0, 0.0), (1, 0.5), (2, 0.5)):
+        t.insert_simplex([v], value)
+    t.finalize()
+    stats_on = EngineOptions(lazy=options.lazy, reorder=options.reorder, record_stats=True)
+    d, stats = compute_persistence(t, F2, stats_on)
+    assert sorted(d.triples()) == [
+        (0, 0.0, math.inf),
+        (0, 0.5, math.inf),
+        (0, 0.5, math.inf),
+    ]
+    assert diagram_equal(d, oracle_reduce(t, F2))
+    assert (stats.g_max_total, stats.s_max_total, stats.matrix_nonzeros_peak) == (3, 3, 3)
+    assert stats.g_max_by_dim == stats.s_max_by_dim == {0: 3}

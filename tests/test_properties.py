@@ -19,6 +19,7 @@ from camph import (
     diagram_equal,
     oracle_reduce,
     reorder_slab,
+    reordered_filtration,
     slab_partition,
 )
 
@@ -82,6 +83,16 @@ def test_engine_matches_oracle_for_every_prime_and_mode(values):
         for options in (*MODES, AUDITED):
             diagram, _ = compute_persistence(tree, field, options)
             assert diagram_equal(diagram, reference), (p, options)
+
+
+@settings(max_examples=100, deadline=None)
+@given(closed_filtrations())
+def test_key_range_reorder_matches_validated_slabs(values):
+    # the whole-filtration path walks key ranges without validating them;
+    # it must emit what the validated per-slab path does
+    tree = tree_of(values)
+    slabs = [reorder_slab(tree, slab) for slab in slab_partition(tree)]
+    assert reordered_filtration(tree) == [s for slab in slabs for s in slab]
 
 
 @settings(max_examples=40, deadline=None)
