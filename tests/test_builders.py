@@ -1,5 +1,8 @@
+import hashlib
+import json
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,9 +16,11 @@ from camph import (
 )
 from camph.errors import DimensionMismatch
 
-from tests.fixtures import random_rips_corpus
+from tests.fixtures import random_rips_corpus, torus_point_sample
+from tests.test_stats import stats_digest
 
 F2 = PrimeField(2)
+DATA = Path(__file__).parent / "data"
 
 
 def test_two_points_within_reach():
@@ -107,3 +112,16 @@ def test_rips_corpus_is_valid():
 def test_non_finite_coordinates_rejected(bad):
     with pytest.raises(ValueError, match="finite"):
         build_rips([[0.0, 0.0], [bad, 1.0], [1.0, 0.0]], 2.0, 2)
+
+
+def test_unquantized_rips_bytes_match_recorded_digests():
+    # the quantized corpora round diameters to one decimal, which hides a
+    # last-bit change in a distance; these digests see every bit
+    recorded = json.loads((DATA / "rips_sha256.json").read_text())
+    corpus = [stats_digest(c) for c in random_rips_corpus()]
+    assert corpus == recorded["random_rips_corpus"]
+    points = torus_point_sample(100)
+    assert stats_digest(build_rips(points, 1.5, 2)) == recorded["torus_sample_100"]
+    dist = repr([[float(d) for d in row] for row in pairwise_distances(points)])
+    digest = hashlib.sha256(dist.encode()).hexdigest()
+    assert digest == recorded["torus_sample_100_distances"]
