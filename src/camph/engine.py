@@ -152,6 +152,8 @@ class PersistenceEngine:
         boundary sum then marks the simplex when ``defer`` is set and
         creates a class otherwise.
         """
+        if self._finished:
+            raise RuntimeError("finish() was already called")
         marked = self._marked
         if marked:
             row = marked.pop(key, None)

@@ -266,6 +266,25 @@ def test_finish_only_once():
         engine.finish()
 
 
+@pytest.mark.parametrize("entry", ["insert", "lazy_evaluation"])
+def test_no_insertion_after_finish(entry):
+    t = SimplexTree()
+    for v in range(3):
+        t.insert_simplex([v], 0.0)
+    t.insert_simplex((0, 1), 1.0)
+    t.finalize()
+    engine = PersistenceEngine(t, F2)
+    step = getattr(engine, entry)
+    step((0,))
+    step((1,))
+    engine.finish()
+    assert engine.live_cocycle_count(0) == 2
+    for simplex in ((2,), (0, 1)):
+        with pytest.raises(RuntimeError, match="finish"):
+            step(simplex)
+    assert engine.live_cocycle_count(0) == 2
+
+
 def test_requires_finalized_complex():
     t = SimplexTree()
     t.insert_simplex([0], 0.0)
