@@ -1,19 +1,39 @@
-"""Complex construction: flag-complex filtrations of point clouds."""
+"""Complex construction: flag-complex filtrations of point clouds, each
+any sequence of equal-length coordinate sequences (NumPy arrays too)."""
 from __future__ import annotations
 
-import numpy as np
+import math
 
 from .errors import DimensionMismatch
 from .simplex_tree import SimplexTree
 
 
-def pairwise_distances(points) -> np.ndarray:
-    """Euclidean distance matrix of an (n, d) cloud."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise DimensionMismatch("points must form an (n, d) array")
-    diff = pts[:, None, :] - pts[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
+def _rows(points) -> list[tuple[float, ...]]:
+    try:
+        rows = [tuple(map(float, point)) for point in points]
+        if len({len(row) for row in rows}) <= 1:
+            return rows
+    except TypeError:  # a bare number where a point should be
+        pass
+    raise DimensionMismatch("points must form an (n, d) array")
+
+
+def pairwise_distances(points) -> list[list[float]]:
+    """Euclidean distances of an (n, d) cloud as n lists of n floats: the
+    root of the squared differences added left to right from 0.0. NumPy's
+    sum gives the same bits for up to 7 coordinates but may differ in the
+    last bit from 8 on, where it sums in another order."""
+    rows = _rows(points)
+    columns = list(zip(*rows))
+    dist: list[list[float]] = []
+    for i in range(len(rows)):
+        # squared distances from point i to every later point
+        acc = [0.0] * (len(rows) - i - 1)
+        for col in columns:
+            x = col[i]
+            acc = [s + (x - y) * (x - y) for s, y in zip(acc, col[i + 1 :])]
+        dist.append([row[i] for row in dist] + [0.0] + list(map(math.sqrt, acc)))
+    return dist
 
 
 def build_rips(points, max_edge_length: float, max_dim: int) -> SimplexTree:
@@ -32,19 +52,13 @@ def build_rips(points, max_edge_length: float, max_dim: int) -> SimplexTree:
         raise ValueError(f"max_dim must be an integer, got {max_dim!r}")
     if max_dim < 0:
         raise ValueError("max_dim must be non-negative")
-    pts = np.asarray(points, dtype=float)
-    if pts.size == 0:
-        tree = SimplexTree()
-        tree.finalize()
-        return tree
-    if pts.ndim != 2:
-        raise DimensionMismatch("points must form an (n, d) array")
-    if not np.isfinite(pts).all():
+    pts = _rows(points)
+    if not all(math.isfinite(x) for point in pts for x in point):
         raise ValueError("point coordinates must be finite")
     n = len(pts)
     dist = pairwise_distances(pts)
     upper = [
-        [u for u in range(v + 1, n) if dist[v, u] <= max_edge_length]
+        [u for u in range(v + 1, n) if dist[v][u] <= max_edge_length]
         for v in range(n)
     ]
     upper_sets = [set(us) for us in upper]
@@ -55,7 +69,7 @@ def build_rips(points, max_edge_length: float, max_dim: int) -> SimplexTree:
         if len(simplex) - 1 == max_dim:
             return
         for i, v in enumerate(candidates):
-            grown = max(diameter, max(dist[u, v] for u in simplex))
+            grown = max(diameter, max(dist[u][v] for u in simplex))
             shared = [w for w in candidates[i + 1 :] if w in upper_sets[v]]
             expand(simplex + (v,), shared, grown)
 

@@ -11,7 +11,6 @@ output is byte-stable and reads back exactly.
 from __future__ import annotations
 
 import math
-import numpy as np
 
 from .diagram import PersistenceDiagram
 from .errors import ParseError
@@ -31,14 +30,14 @@ def _data_lines(path):
             yield lineno, line
 
 
-def read_points(path) -> np.ndarray:
-    """Load a point cloud; every line must have the same arity and every
-    coordinate must be finite."""
-    rows: list[list[float]] = []
+def read_points(path) -> list[tuple[float, ...]]:
+    """Load a point cloud as one float tuple per point; every line must
+    have the same arity and every coordinate must be finite."""
+    rows: list[tuple[float, ...]] = []
     width = None
     for lineno, line in _data_lines(path):
         try:
-            coords = [float(tok) for tok in line.split()]
+            coords = tuple(map(float, line.split()))
         except ValueError as exc:
             raise ParseError(f"bad coordinate ({exc})", path=path, line=lineno)
         if not all(map(math.isfinite, coords)):
@@ -52,9 +51,7 @@ def read_points(path) -> np.ndarray:
                 line=lineno,
             )
         rows.append(coords)
-    if not rows:
-        return np.empty((0, 0))
-    return np.array(rows, dtype=float)
+    return rows
 
 
 def read_filtration(path) -> SimplexTree:
@@ -70,13 +67,10 @@ def read_filtration(path) -> SimplexTree:
             verts = [int(tok) for tok in tokens[1:]]
         except ValueError as exc:
             raise ParseError(f"bad token ({exc})", path=path, line=lineno)
-        if not math.isfinite(value):
-            raise ParseError("filtration value must be finite", path=path, line=lineno)
-        if any(v < 0 for v in verts):
-            raise ParseError("vertex ids must be non-negative", path=path, line=lineno)
-        if len(set(verts)) != len(verts):
-            raise ParseError("duplicate vertex in simplex", path=path, line=lineno)
-        tree.insert_simplex(verts, value)
+        try:
+            tree.insert_simplex(verts, value)
+        except ValueError as exc:
+            raise ParseError(str(exc), path=path, line=lineno)
     tree.finalize()
     return tree
 

@@ -4,7 +4,6 @@ import math
 import random
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from camph import (
@@ -51,7 +50,7 @@ def test_max_dim_zero_keeps_only_vertices():
 
 
 def test_empty_cloud():
-    c = build_rips(np.empty((0, 3)), 1.0, 2)
+    c = build_rips([], 1.0, 2)
     assert len(c) == 0
     assert c.finalized
 
@@ -72,6 +71,13 @@ def test_invalid_arguments():
         pairwise_distances([0.0, 1.0])
 
 
+def test_flat_or_ragged_cloud_rejected():
+    with pytest.raises(DimensionMismatch):
+        build_rips([0.0, 1.0], 1.0, 1)
+    with pytest.raises(DimensionMismatch):
+        build_rips([[0.0, 1.0], [1.0]], 1.0, 1)
+
+
 def test_value_is_max_edge_length_of_simplex():
     # diameter decomposition, checked exhaustively on small clouds
     rng = random.Random(92)
@@ -84,7 +90,7 @@ def test_value_is_max_edge_length_of_simplex():
                 assert value == 0.0
             else:
                 expected = max(
-                    dist[u, v]
+                    dist[u][v]
                     for i, u in enumerate(simplex)
                     for v in simplex[i + 1 :]
                 )
@@ -125,3 +131,32 @@ def test_unquantized_rips_bytes_match_recorded_digests():
     dist = repr([[float(d) for d in row] for row in pairwise_distances(points)])
     digest = hashlib.sha256(dist.encode()).hexdigest()
     assert digest == recorded["torus_sample_100_distances"]
+
+
+@pytest.mark.parametrize("width", range(13))
+def test_distances_are_left_to_right_sums(width):
+    rng = random.Random(width)
+    pts = [tuple(rng.uniform(-5, 5) for _ in range(width)) for _ in range(15)]
+    dist = pairwise_distances(pts)
+    for i, p in enumerate(pts):
+        for j, q in enumerate(pts):
+            total = 0.0
+            for x, y in zip(p, q):
+                total += (x - y) * (x - y)
+            assert dist[i][j] == math.sqrt(total)
+
+
+def test_zero_width_cloud_is_coincident_vertices():
+    c = build_rips([()] * 5, 1.0, 2)
+    assert len(c) == 25  # 5 vertices, 10 edges, 10 triangles
+    assert all(value == 0.0 for _, value in c.simplices())
+
+
+def test_numpy_array_input_matches_list_input():
+    np = pytest.importorskip("numpy")
+    rng = random.Random(5)
+    pts = [[rng.uniform(0, 1) for _ in range(3)] for _ in range(12)]
+    from_list = build_rips(pts, 0.5, 2)
+    from_array = build_rips(np.array(pts), 0.5, 2)
+    assert from_array.simplices() == from_list.simplices()
+    assert len(build_rips(np.zeros((5, 0)), 1.0, 2)) == 25

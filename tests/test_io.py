@@ -26,8 +26,9 @@ def test_read_points_line(tmp_path):
     path = tmp_path / "pts.txt"
     path.write_text("# cloud in R^3\n0.0 0.0 1.5\n1.0 2.0 3.0\n")
     pts = read_points(path)
-    assert pts.shape == (2, 3)
-    assert pts[0, 2] == 1.5
+    assert [len(point) for point in pts] == [3, 3]
+    assert pts[0][2] == 1.5
+    assert pts == [(0.0, 0.0, 1.5), (1.0, 2.0, 3.0)]
 
 
 def test_read_points_ragged_rejected(tmp_path):

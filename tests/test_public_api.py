@@ -1,10 +1,14 @@
 """The package exports exactly what the README's Library section documents."""
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import camph
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def _library_section() -> str:
@@ -20,3 +24,17 @@ def test_every_exported_name_imports_and_is_documented():
         assert name in namespace, name
         assert name in documented, f"{name} is exported but not in README"
     assert len(set(camph.__all__)) == len(camph.__all__)
+
+
+def test_import_loads_no_numpy():
+    # the package is pure standard library; numpy is only accepted as input
+    code = "import camph, sys; print(any(m.split('.')[0] == 'numpy' for m in sys.modules))"
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout == "False\n"
