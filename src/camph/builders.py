@@ -11,11 +11,11 @@ from .simplex_tree import SimplexTree
 def _rows(points) -> list[tuple[float, ...]]:
     try:
         rows = [tuple(map(float, point)) for point in points]
-        if len({len(row) for row in rows}) <= 1:
-            return rows
     except TypeError:  # a bare number where a point should be
-        pass
-    raise DimensionMismatch("points must form an (n, d) array")
+        raise DimensionMismatch("points must form an (n, d) array") from None
+    if len({len(row) for row in rows}) > 1:
+        raise DimensionMismatch("points must share one dimension")
+    return rows
 
 
 def pairwise_distances(points) -> list[list[float]]:

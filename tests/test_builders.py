@@ -69,12 +69,9 @@ def test_invalid_arguments():
             build_rips(eight, 10.0, bad)
     with pytest.raises(DimensionMismatch):
         pairwise_distances([0.0, 1.0])
-
-
-def test_flat_or_ragged_cloud_rejected():
     with pytest.raises(DimensionMismatch):
         build_rips([0.0, 1.0], 1.0, 1)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch):  # ragged
         build_rips([[0.0, 1.0], [1.0]], 1.0, 1)
 
 
