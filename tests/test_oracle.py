@@ -1,17 +1,23 @@
+import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from camph import PrimeField, SimplexTree, betti_numbers, betti_profile, oracle_reduce
+from camph.field import OpCountingField
 
 from tests.fixtures import (
+    canned_complexes,
     full_triangle,
     hollow_triangle,
     projective_plane_6,
+    random_rips_corpus,
     tetra_boundary,
     torus_7,
 )
 
+DATA = Path(__file__).parent / "data"
 F2 = PrimeField(2)
 F3 = PrimeField(3)
 
@@ -92,3 +98,43 @@ def test_zero_length_pairs_follow_flag():
     assert withz.multiset() == Counter(
         {(0, 0.0, float("inf")): 1, (0, 0.0, 0.0): 1}
     )
+
+
+def _op_count_inputs() -> dict[str, SimplexTree]:
+    complexes = canned_complexes()
+    corpus = random_rips_corpus(quantize=True)
+    complexes.update((f"quantized_rips_{i:02d}", c) for i, c in enumerate(corpus))
+    return complexes
+
+
+def test_op_counts_match_recorded():
+    # recorded once from the reduction that called field.add/neg/mul/div
+    # per entry; the oracle must keep charging exactly those calls
+    recorded = json.loads((DATA / "oracle_ops.json").read_text())
+    complexes = _op_count_inputs()
+    assert list(recorded["ops"]) == list(complexes)
+    for name, complex in complexes.items():
+        counts = []
+        for p in recorded["primes"]:
+            field = OpCountingField(p)
+            oracle_reduce(complex, field)
+            counts.append(field.ops)
+        assert counts == recorded["ops"][name], name
+
+
+@pytest.mark.parametrize("p", [2, 3, 7919])
+def test_ignores_the_engine_views(p):
+    # the oracle reads only filtration_order(), boundary() and value(), so
+    # corrupting the per-key views the engine uses must change nothing
+    field = PrimeField(p)
+    corpus = random_rips_corpus(count=10, seed=29, quantize=True)
+    intact = list(canned_complexes().values()) + corpus
+    corrupt = list(canned_complexes().values())
+    corrupt += random_rips_corpus(count=10, seed=29, quantize=True)
+    for complex in corrupt:
+        complex.faces_of = complex.faces_of[::-1]
+        complex.value_of = complex.value_of[::-1]
+        complex.dim_of = complex.dim_of[::-1]
+    for good, bad in zip(intact, corrupt):
+        assert oracle_reduce(bad, field).pairs == oracle_reduce(good, field).pairs
+        assert betti_profile(bad, field) == betti_profile(good, field)
