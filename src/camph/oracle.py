@@ -1,8 +1,14 @@
 """Reference persistence by boundary-matrix column reduction.
 
-The classic left-to-right elimination over Z_p: cubic worst case, used
-only to validate the annotation engine at test scale. It deliberately
-shares nothing with the engine beyond the field and complex types.
+The classic left-to-right elimination over Z_p, with no clearing and no
+twist: cubic worst case, used to validate the annotation engine and as
+the baseline it is timed against. It deliberately shares nothing with
+the engine beyond the field and complex types: it reads the complex only
+through filtration_order(), boundary() and value(), never through the
+per-key views (``faces_of``, ``value_of``, ``dim_of``) that finalize()
+builds for the engine. The mod-p arithmetic is done inline, as in the
+engine, and charged to ``field.charge`` as the add/neg/mul/div calls it
+replaces, so an OpCountingField counts what it always did.
 """
 from __future__ import annotations
 
@@ -20,24 +26,28 @@ def _reduce_columns(complex: SimplexTree, field: PrimeField):
     pivot_owner: dict[int, int] = {}  # pivot row -> owning column
     pairs: list[tuple[int, int]] = []
     positives: list[int] = []
+    p, charge = field.p, field.charge
     for j, simplex in enumerate(order):
         column: dict[int, int] = {}
         if len(simplex) > 1:
             for face, sign in complex.boundary(simplex):
-                column[index[face]] = 1 if sign > 0 else field.p - 1
+                column[index[face]] = 1 if sign > 0 else p - 1
+        get = column.get
         while column:
             low = max(column)
             k = pivot_owner.get(low)
             if k is None:
                 break
             other = reduced[k]
-            lam = field.div(field.neg(column[low]), other[low])
+            # one neg and one div, then one mul and one add per entry
+            charge(2 + 2 * len(other))
+            lam = (p - column[low]) * pow(other[low], -1, p) % p
             for row, coeff in other.items():
-                v = field.add(column.get(row, 0), field.mul(lam, coeff))
+                v = (get(row, 0) + lam * coeff) % p
                 if v:
                     column[row] = v
                 else:
-                    column.pop(row, None)
+                    del column[row]
         if column:
             low = max(column)
             pivot_owner[low] = j
