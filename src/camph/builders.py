@@ -18,21 +18,30 @@ def _rows(points) -> list[tuple[float, ...]]:
     return rows
 
 
+def _upper_distances(rows: list[tuple[float, ...]]) -> list[list[float]]:
+    """n lists of n floats whose entry [i][j], i < j, is the distance of
+    points i and j; the entries on and below the diagonal are 0.0."""
+    columns = list(zip(*rows))
+    n = len(rows)
+    dist: list[list[float]] = []
+    for i in range(n):
+        # squared distances from point i to every later point
+        acc = [0.0] * (n - i - 1)
+        for col in columns:
+            x = col[i]
+            acc = [s + (x - y) * (x - y) for s, y in zip(acc, col[i + 1 :])]
+        dist.append([0.0] * (i + 1) + list(map(math.sqrt, acc)))
+    return dist
+
+
 def pairwise_distances(points) -> list[list[float]]:
     """Euclidean distances of an (n, d) cloud as n lists of n floats: the
     root of the squared differences added left to right from 0.0. NumPy's
     sum gives the same bits for up to 7 coordinates but may differ in the
     last bit from 8 on, where it sums in another order."""
-    rows = _rows(points)
-    columns = list(zip(*rows))
-    dist: list[list[float]] = []
-    for i in range(len(rows)):
-        # squared distances from point i to every later point
-        acc = [0.0] * (len(rows) - i - 1)
-        for col in columns:
-            x = col[i]
-            acc = [s + (x - y) * (x - y) for s, y in zip(acc, col[i + 1 :])]
-        dist.append([row[i] for row in dist] + [0.0] + list(map(math.sqrt, acc)))
+    dist = _upper_distances(_rows(points))
+    for i, row in enumerate(dist):
+        row[:i] = [earlier[i] for earlier in dist[:i]]
     return dist
 
 
@@ -56,7 +65,7 @@ def build_rips(points, max_edge_length: float, max_dim: int) -> SimplexTree:
     if not all(math.isfinite(x) for point in pts for x in point):
         raise ValueError("point coordinates must be finite")
     n = len(pts)
-    dist = pairwise_distances(pts)
+    dist = _upper_distances(pts)  # read only at [u][v] with u < v
     upper = [
         [u for u in range(v + 1, n) if dist[v][u] <= max_edge_length]
         for v in range(n)
