@@ -1,4 +1,7 @@
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -275,3 +278,22 @@ def test_usage_error_exits_1(args, message, capsys):
     assert err.startswith("camph: error: ")
     assert message in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "flag,code", [("--help", 0), ("--bogus", 1)], ids=["help", "unknown-flag"]
+)
+def test_python_dash_m_camph(flag, code):
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+    result = subprocess.run(
+        [sys.executable, "-m", "camph", flag],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == code, result.stderr
+    if code == 0:
+        assert result.stdout.startswith("usage: camph")
+    else:
+        assert result.stderr.startswith("camph: error: ")
