@@ -7,8 +7,9 @@ the engine beyond the field and complex types: it reads the complex only
 through filtration_order(), boundary() and value(), never through the
 per-key views (``faces_of``, ``value_of``, ``dim_of``) that finalize()
 builds for the engine. The mod-p arithmetic is done inline, as in the
-engine, and charged to ``field.charge`` as the add/neg/mul/div calls it
-replaces, so an OpCountingField counts what it always did.
+engine, and charged to ``field.charge`` as field calls: each column
+addition counts one neg and one div, plus one mul and one add per entry
+of the column added.
 """
 from __future__ import annotations
 
@@ -39,7 +40,6 @@ def _reduce_columns(complex: SimplexTree, field: PrimeField):
             if k is None:
                 break
             other = reduced[k]
-            # one neg and one div, then one mul and one add per entry
             charge(2 + 2 * len(other))
             lam = (p - column[low]) * pow(other[low], -1, p) % p
             for row, coeff in other.items():

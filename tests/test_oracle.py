@@ -108,8 +108,8 @@ def _op_count_inputs() -> dict[str, SimplexTree]:
 
 
 def test_op_counts_match_recorded():
-    # recorded once from the reduction that called field.add/neg/mul/div
-    # per entry; the oracle must keep charging exactly those calls
+    # recorded once and never re-recorded: however the oracle does its
+    # arithmetic, it charges one op per add, neg, mul and div
     recorded = json.loads((DATA / "oracle_ops.json").read_text())
     complexes = _op_count_inputs()
     assert list(recorded["ops"]) == list(complexes)
@@ -126,11 +126,12 @@ def test_op_counts_match_recorded():
 def test_ignores_the_engine_views(p):
     # the oracle reads only filtration_order(), boundary() and value(), so
     # corrupting the per-key views the engine uses must change nothing
+    def inputs():
+        corpus = random_rips_corpus(count=10, seed=29, quantize=True)
+        return list(canned_complexes().values()) + corpus
+
     field = PrimeField(p)
-    corpus = random_rips_corpus(count=10, seed=29, quantize=True)
-    intact = list(canned_complexes().values()) + corpus
-    corrupt = list(canned_complexes().values())
-    corrupt += random_rips_corpus(count=10, seed=29, quantize=True)
+    intact, corrupt = inputs(), inputs()
     for complex in corrupt:
         complex.faces_of = complex.faces_of[::-1]
         complex.value_of = complex.value_of[::-1]
