@@ -16,9 +16,9 @@ from .diagram import PersistenceDiagram, PersistencePair, diagram_equal
 from .engine import EngineOptions, PersistenceEngine, compute_persistence
 from .field import PrimeField, is_prime
 from .io import format_diagram, read_filtration, read_points
-from .oracle import betti_numbers, betti_profile
+from .oracle import betti_profile
 from .oracle import reduce as oracle_reduce
-from .reorder import reorder_slab, reordered_filtration, slab_partition
+from .reorder import reordered_filtration
 from .simplex_tree import Simplex, SimplexTree
 from .stats import RunStats, format_stats
 from . import errors
@@ -35,7 +35,6 @@ __all__ = [
     "RunStats",
     "Simplex",
     "SimplexTree",
-    "betti_numbers",
     "betti_profile",
     "build_rips",
     "compute_persistence",
@@ -48,7 +47,5 @@ __all__ = [
     "pairwise_distances",
     "read_filtration",
     "read_points",
-    "reorder_slab",
     "reordered_filtration",
-    "slab_partition",
 ]

@@ -147,7 +147,7 @@ class CompressedAnnotationMatrix:
 
         One dict accumulates the sum with inline arithmetic, so no negated
         copy is built. The field is charged what negating every odd term
-        and merge-adding the terms in order would call: one negation per
+        and merge-adding the terms in order would cost: one negation per
         entry of an odd term and one addition per row that a term shares
         with the running sum. Raises UnassignedSlot at the first slot
         without an annotation.
@@ -182,10 +182,10 @@ class CompressedAnnotationMatrix:
         zero key, and one that collides with a stored column forwards to
         it. Returns j.
 
-        The arithmetic is done inline; the field is charged the calls the
-        same update makes through it: per touched column a negation and a
-        division for -f/c, |a_bd| multiplications unless that factor is 1,
-        and one addition per row shared with the argument.
+        The arithmetic is done inline; the field is charged the operations
+        of the update: per touched column a negation and a division for
+        -f/c, |a_bd| multiplications unless that factor is 1, and one
+        addition per row shared with the argument.
         """
         a_bd = boundary_annotation
         if not a_bd:
@@ -238,7 +238,7 @@ class CompressedAnnotationMatrix:
                     x = lam * a % p
                     append((row, x))
                     entries[column] = x
-            # the field calls of -f/c, of scaling a_bd by lam != 1 and of
+            # the field operations of -f/c, of scaling a_bd by lam != 1 and of
             # one addition per shared row
             ops += 2 + shared + (n_bd if lam != 1 else 0)
             new_key = tuple(out) + key[i:]

@@ -56,7 +56,9 @@ def build_rips(points, max_edge_length: float, max_dim: int) -> SimplexTree:
     monotone by construction.
     """
     if not max_edge_length >= 0:
-        raise ValueError("max_edge_length must be non-negative")
+        raise ValueError(
+            f"max_edge_length must be non-negative, got {max_edge_length!r}"
+        )
     if not isinstance(max_dim, int) or isinstance(max_dim, bool):
         raise ValueError(f"max_dim must be an integer, got {max_dim!r}")
     if max_dim < 0:

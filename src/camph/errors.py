@@ -9,10 +9,6 @@ class CompositeModulus(CamphError, ValueError):
     """Requested coefficient modulus is not a prime number."""
 
 
-class DivisionByZero(CamphError, ZeroDivisionError):
-    """Field inverse or division by the zero element."""
-
-
 class ClosureViolation(CamphError, ValueError):
     """A stored simplex is missing one of its faces."""
 
@@ -39,10 +35,6 @@ class UnassignedSlot(CamphError, KeyError):
 
 class ZeroAnnotation(CamphError, ValueError):
     """Destruction requested with the zero annotation vector."""
-
-
-class SlabNotRelativelyClosed(CamphError, ValueError):
-    """An iso-value block omits a face that shares its filtration value."""
 
 
 class DimensionMismatch(CamphError, ValueError):

@@ -1,12 +1,12 @@
-"""Exact arithmetic in the prime field Z_p.
+"""The prime field Z_p: a checked modulus and an operation count.
 
-Field elements are plain ints kept in canonical form 0 <= x < p; the field
-object carries the modulus and provides the arithmetic. A counting variant
-tallies how many arithmetic calls a computation issued.
+Field elements are plain ints kept in canonical form 0 <= x < p. Callers
+do their arithmetic inline with the modulus ``p`` and report it through
+``charge``, which a counting variant tallies.
 """
 from __future__ import annotations
 
-from .errors import CompositeModulus, DivisionByZero
+from .errors import CompositeModulus
 
 # Miller-Rabin with the first twelve primes as bases is exact for every n
 # below _PSI_12, the least strong pseudoprime to all of them (Sorenson and
@@ -40,10 +40,7 @@ def is_prime(n: int) -> bool:
 
 
 class PrimeField:
-    """The field Z_p for a prime modulus p.
-
-    Immutable after construction; operations are pure and safe to share.
-    """
+    """The field Z_p for a prime modulus p; immutable after construction."""
 
     __slots__ = ("p",)
 
@@ -57,36 +54,13 @@ class PrimeField:
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.p})"
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
-    def div(self, a: int, b: int) -> int:
-        return a * self._inverse(b) % self.p
-
     def charge(self, ops: int) -> None:
         """Account for ``ops`` operations a caller did inline; counted only
         by OpCountingField."""
 
-    def _inverse(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise DivisionByZero(f"inverse of 0 in Z_{self.p}")
-        return pow(a, -1, self.p)
-
 
 class OpCountingField(PrimeField):
-    """PrimeField that counts arithmetic calls.
-
-    Every invocation of add/neg/mul/div increments ``ops`` by one,
-    regardless of the internal work performed (a division counts once,
-    not as inverse-plus-multiply).
-    """
+    """PrimeField that adds every charged operation to ``ops``."""
 
     __slots__ = ("ops",)
 
@@ -96,19 +70,3 @@ class OpCountingField(PrimeField):
 
     def charge(self, ops: int) -> None:
         self.ops += ops
-
-    def add(self, a: int, b: int) -> int:
-        self.ops += 1
-        return (a + b) % self.p
-
-    def neg(self, a: int) -> int:
-        self.ops += 1
-        return -a % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        self.ops += 1
-        return a * b % self.p
-
-    def div(self, a: int, b: int) -> int:
-        self.ops += 1
-        return a * self._inverse(b) % self.p

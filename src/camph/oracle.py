@@ -7,9 +7,9 @@ the engine beyond the field and complex types: it reads the complex only
 through filtration_order(), boundary() and value(), never through the
 per-key views (``faces_of``, ``value_of``, ``dim_of``) that finalize()
 builds for the engine. The mod-p arithmetic is done inline, as in the
-engine, and charged to ``field.charge`` as field calls: each column
-addition counts one neg and one div, plus one mul and one add per entry
-of the column added.
+engine, and charged to ``field.charge`` as field operations: each column
+addition counts one negation and one division, plus one product and one
+addition per entry of the column added.
 """
 from __future__ import annotations
 
@@ -114,15 +114,3 @@ def betti_profile(complex: SimplexTree, field: PrimeField) -> list[list[int]]:
             betti[dim] -= 1
         profile.append(list(betti))
     return profile
-
-
-def betti_numbers(complex: SimplexTree, field: PrimeField, prefix_len: int) -> list[int]:
-    """Betti numbers of the first ``prefix_len`` simplices.
-
-    The list covers dimensions 0..dim(prefix); an empty prefix yields [].
-    """
-    order = complex.filtration_order()
-    if not 0 <= prefix_len <= len(order):
-        raise ValueError(f"prefix_len must be in [0, {len(order)}]")
-    prefix_dim = max((len(s) - 1 for s in order[:prefix_len]), default=-1)
-    return betti_profile(complex, field)[prefix_len][: prefix_dim + 1]

@@ -8,13 +8,14 @@ from dataclasses import dataclass, field
 class RunStats:
     """Counters from one engine run.
 
-    ``field_ops`` counts every field-operation call (add, neg, mul, div;
-    each call counts once). The remaining values are maxima over
-    samples taken after each simplex insertion: ``matrix_nonzeros_peak``
-    is the total number of stored nonzero entries, ``g_max_total`` the
-    total number of live cocycle rows over all dimensions, and
-    ``s_max_total`` the total number of distinct nonzero columns, with
-    per-dimension peaks alongside.
+    ``field_ops`` counts the Z_p operations (additions, negations,
+    products, divisions) that the inline arithmetic charged to the
+    field. The remaining values are maxima over samples taken after
+    each simplex insertion: ``matrix_nonzeros_peak`` is the total number
+    of stored nonzero entries, ``g_max_total`` the total number of live
+    cocycle rows over all dimensions, and ``s_max_total`` the total
+    number of distinct nonzero columns, with per-dimension peaks
+    alongside.
     """
 
     field_ops: int = 0

@@ -304,7 +304,7 @@ def _drop_row_entry(m):
 def _change_coefficient(m):
     entries = m._rows[0]
     column = next(iter(entries))
-    entries[column] = F11.add(entries[column], 1)
+    entries[column] = (entries[column] + 1) % F11.p
 
 
 def _bump_nonzero_count(m):
@@ -407,7 +407,7 @@ def _paths(slots_per_vector: Counter, a_bd, p) -> set[str]:
 
 def _model_signed_sum(vectors, p) -> tuple[tuple, int]:
     """The signed sum by negating each odd term, then merge-adding the terms
-    one by one, with the field calls that sequence makes."""
+    one by one, with the field operations that sequence makes."""
     acc: dict[int, int] = {}
     ops = 0
     for j, x in enumerate(vectors):
@@ -423,7 +423,7 @@ def _model_signed_sum(vectors, p) -> tuple[tuple, int]:
 
 def _run_program(p, program) -> set[str]:
     """Replay ``program`` on an audited matrix and on the dense model,
-    comparing the drawn slots and their signed sum with its field calls
+    comparing the drawn slots and their signed sum with its field operations
     after every step, and every slot at the end; returns the update paths
     hit."""
     field = OpCountingField(p)
@@ -501,4 +501,42 @@ def test_kill_programs_reach_every_update_path(p, path):
         _programs(p),
         lambda program: path in _run_program(p, program),
         settings=settings(max_examples=500, phases=[Phase.generate], database=None),
+    )
+
+
+def _links(m, slot) -> int:
+    """Forwards between the column a slot points at and its chain's end."""
+    links, column = 0, m._slots[slot]
+    while column.forward is not None:
+        links, column = links + 1, column.forward
+    return links
+
+
+@pytest.mark.parametrize("p,links", [(2, 3), (3, 2), (7919, 2)])
+def test_kill_programs_reach_forward_chains(p, links, monkeypatch):
+    # some find_annotation call of the drawn programs follows a forwarding
+    # chain of ``links`` links (the engine meets up to 4 on the bench
+    # inputs); the search is derandomized, so its 500 draws are fixed
+    longest = 0
+    lookup = CompressedAnnotationMatrix.find_annotation
+
+    def measured(self, slot):
+        nonlocal longest
+        longest = max(longest, _links(self, slot))
+        return lookup(self, slot)
+
+    monkeypatch.setattr(CompressedAnnotationMatrix, "find_annotation", measured)
+
+    def reaches(program):
+        nonlocal longest
+        longest = 0
+        _run_program(p, program)
+        return longest >= links
+
+    find(
+        _programs(p),
+        reaches,
+        settings=settings(
+            max_examples=500, phases=[Phase.generate], database=None, derandomize=True
+        ),
     )

@@ -1,21 +1,33 @@
-"""The benchmark's tracer patches camph functions by name; keep them there.
+"""The benchmark's samplers reach into camph by name; keep those names there.
 
-A refactor that renames or removes one of those functions would otherwise
-break only traced benchmark runs, which the test suite does not make.
+The tracer patches camph functions by name, and the count sampler reads
+``reorder.slab_partition``, each block's ``simplices``,
+``OpCountingField.ops`` and ``SimplexTree.cofacets``. A refactor that
+renamed or removed one of them would otherwise break only benchmark
+runs, which the test suite does not make.
 """
+import dataclasses
 import importlib
 from pathlib import Path
+
+import pytest
 
 from camph import PrimeField, compute_persistence, diagram_equal, oracle_reduce
 
 from tests.fixtures import path_3
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
+RP2 = ROOT / "tests" / "data" / "rp2.flt"
 
 
-def test_bench_instrumentation_patches_and_restores(monkeypatch):
+@pytest.fixture
+def sample(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
-    sample = importlib.import_module("sample")
+    return importlib.import_module("sample")
+
+
+def test_bench_instrumentation_patches_and_restores(sample):
     tracing = importlib.import_module("tracing")
     engine_cls = sample.engine.PersistenceEngine
     original = engine_cls.lazy_evaluation
@@ -35,3 +47,15 @@ def test_bench_instrumentation_patches_and_restores(monkeypatch):
         "engine.finish",
         "reorder.reordered_filtration",
     }
+
+
+def test_bench_samplers_run_on_a_filtration(sample, tmp_path):
+    # rp2 over Z_2 under the tied_blocks flags: lazy, reordered, three blocks
+    workload = dataclasses.replace(sample.WORKLOADS["tied_blocks"], prime=2)
+    counted = sample.count_sample(workload, RP2, tmp_path / "count.dgm")
+    assert counted["oracle_equal"]
+    assert counted["counts"]["reorder.blocks"] > 0
+    assert counted["counts"]["field.oracle_ops"] > 0
+    traced = sample.traced_sample(workload, RP2, tmp_path / "traced.dgm")
+    assert traced["oracle_equal"]
+    assert traced["digest"] == counted["digest"]

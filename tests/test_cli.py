@@ -1,4 +1,5 @@
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -10,7 +11,6 @@ from camph import PersistenceDiagram, PersistencePair
 from camph.cli import main
 from camph.errors import (
     InvariantViolation,
-    SlabNotRelativelyClosed,
     SlotAlreadyAssigned,
     ZeroAnnotation,
 )
@@ -118,20 +118,37 @@ def test_parse_error_exits_1(tmp_path, capsys):
     assert "ParseError" in capsys.readouterr().err
 
 
-def test_non_finite_coordinate_exits_1(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "text,input_format,flags,message",
+    [
+        ("0.0 0.0\nnan 1.0\n0.0 1.0\n", "points",
+         ["--rips-max-edge", "2.0", "--max-dim", "2"],
+         r"ParseError: \S*pts\.txt:2: coordinates must be finite"),
+        ("0.0 0\nnan 1\n", "filtration", [],
+         r"ParseError: \S*pts\.txt:2: value nan of \(1,\) is not finite"),
+        ("0.0 0.0\n0.0 1.0\n", "points", ["--rips-max-edge", "nan", "--max-dim", "2"],
+         r"ValueError: max_edge_length must be non-negative, got nan"),
+    ],
+    ids=["coordinate", "filtration-value", "rips-max-edge"],
+)
+def test_non_finite_coordinate_exits_1(
+    tmp_path, capsys, text, input_format, flags, message
+):
+    # a NaN anywhere in the input is bad input, named in the one error line
     pts = tmp_path / "pts.txt"
-    pts.write_text("0.0 0.0\nnan 1.0\n0.0 1.0\n")
+    pts.write_text(text)
     out = tmp_path / "pts.dgm"
     code = run_cli(
         "--input", str(pts),
-        "--format", "points",
+        "--format", input_format,
         "--field", "2",
-        "--rips-max-edge", "2.0",
-        "--max-dim", "2",
+        *flags,
         "--output", str(out),
     )
     assert code == 1
-    assert "ParseError" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert re.search(message, err), err
+    assert len(err.splitlines()) == 1
     assert not out.exists()
 
 
@@ -196,7 +213,7 @@ def test_oracle_mismatch_exits_3(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "error",
-    [SlotAlreadyAssigned, ZeroAnnotation, SlabNotRelativelyClosed, InvariantViolation],
+    [SlotAlreadyAssigned, ZeroAnnotation, InvariantViolation],
 )
 def test_engine_error_exits_2(tmp_path, capsys, monkeypatch, error):
     # these subclass ValueError, yet raised by the engine they are bugs,

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from camph import PrimeField, SimplexTree, betti_numbers, betti_profile, oracle_reduce
+from camph import PrimeField, SimplexTree, betti_profile, oracle_reduce
 from camph.field import OpCountingField
 
 from tests.fixtures import (
@@ -53,16 +53,15 @@ def test_pair_creators_and_killers_have_adjacent_dims():
 
 
 def test_betti_numbers_of_triangle_prefixes():
-    c = full_triangle()
-    assert betti_numbers(c, F2, 0) == []
-    assert betti_numbers(c, F2, 3) == [3]  # three isolated vertices
-    assert betti_numbers(c, F2, 6) == [1, 1]  # one component, one loop
-    assert betti_numbers(c, F2, 7) == [1, 0, 0]  # filled disk, contractible
-    with pytest.raises(ValueError):
-        betti_numbers(c, F2, 8)
+    profile = betti_profile(full_triangle(), F2)
+    assert len(profile) == 8  # the empty prefix and one per simplex
+    assert profile[0] == [0, 0, 0]
+    assert profile[3] == [3, 0, 0]  # three isolated vertices
+    assert profile[6] == [1, 1, 0]  # one component, one loop
+    assert profile[7] == [1, 0, 0]  # filled disk, contractible
 
 
-def test_betti_profile_matches_betti_numbers():
+def test_betti_profile_of_torus():
     c = torus_7()
     profile = betti_profile(c, F2)
     assert len(profile) == len(c) + 1

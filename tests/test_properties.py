@@ -18,10 +18,9 @@ from camph import (
     compute_persistence,
     diagram_equal,
     oracle_reduce,
-    reorder_slab,
     reordered_filtration,
-    slab_partition,
 )
+from camph.reorder import _key_ranges, _walk
 
 PRIMES = (2, 3, 7919)
 MODES = [
@@ -87,12 +86,12 @@ def test_engine_matches_oracle_for_every_prime_and_mode(values):
 
 @settings(max_examples=100, deadline=None)
 @given(closed_filtrations())
-def test_key_range_reorder_matches_validated_slabs(values):
-    # the whole-filtration path walks key ranges without validating them;
-    # it must emit what the validated per-slab path does
+def test_key_range_reorder_matches_full_walk(values):
+    # reordered_filtration emits a block whose later members all hang off
+    # its first member in key order, without walking it; the walk must agree
     tree = tree_of(values)
-    slabs = [reorder_slab(tree, slab) for slab in slab_partition(tree)]
-    assert reordered_filtration(tree) == [s for slab in slabs for s in slab]
+    keys = [key for lo, hi in _key_ranges(tree) for key in _walk(tree, lo, hi)]
+    assert reordered_filtration(tree) == [tree.simplex_of[key] for key in keys]
 
 
 @settings(max_examples=40, deadline=None)
@@ -139,18 +138,18 @@ def test_diagram_unchanged_under_any_relabelling(values, data):
             assert before.triples() == after.triples(), (p, options)
 
 
-def _shuffled_block(tree, simplices, data):
-    """A random order of one equal-value block in which faces still come
-    before their cofaces: a random linear extension of inclusion."""
-    members = {tree.key(simplex) for simplex in simplices}
-    pending = sorted(members)
+def _shuffled_block(tree, lo, hi, data):
+    """A random order of the equal-value block ``[lo, hi)`` in which faces
+    still come before their cofaces: a random linear extension of inclusion."""
+    pending = list(range(lo, hi))
     done: set[int] = set()
     out = []
     while pending:
+        # faces below the block were inserted before it
         ready = [
             key
             for key in pending
-            if all(face in done or face not in members for face in tree.faces_of[key])
+            if all(face in done or face < lo for face in tree.faces_of[key])
         ]
         key = data.draw(st.sampled_from(ready))
         pending.remove(key)
@@ -163,24 +162,21 @@ def _shuffled_block(tree, simplices, data):
 @given(closed_filtrations(), st.data())
 def test_diagram_unchanged_under_block_permutation(values, data):
     # one block goes in as a random face-respecting permutation; the other
-    # blocks go in as the mode orders them
+    # blocks go in as their slice of the order the mode uses
     tree = tree_of(values)
-    slabs = slab_partition(tree)
-    chosen = data.draw(st.sampled_from(range(len(slabs))))
-    shuffled = _shuffled_block(tree, slabs[chosen].simplices, data)
+    blocks = list(_key_ranges(tree))
+    chosen = data.draw(st.sampled_from(range(len(blocks))))
+    shuffled = _shuffled_block(tree, *blocks[chosen], data)
+    orders = {False: tree.filtration_order(), True: reordered_filtration(tree)}
     for p in PRIMES:
         field = PrimeField(p)
         for options in MODES:
             expected, _ = compute_persistence(tree, field, options)
             engine = PersistenceEngine(tree, field, options)
             step = engine.lazy_evaluation if options.lazy else engine.insert
-            for index, slab in enumerate(slabs):
-                if index == chosen:
-                    sequence = shuffled
-                elif options.reorder:
-                    sequence = reorder_slab(tree, slab)
-                else:
-                    sequence = slab.simplices
+            order = orders[options.reorder]
+            for index, (lo, hi) in enumerate(blocks):
+                sequence = shuffled if index == chosen else order[lo:hi]
                 for simplex in sequence:
                     step(simplex)
             diagram = engine.finish()

@@ -1,4 +1,6 @@
-"""The package exports exactly what the README's Library section documents."""
+"""The package exports exactly what the README's Library section documents,
+and declares no error type that it never raises."""
+import ast
 import os
 import re
 import subprocess
@@ -6,6 +8,7 @@ import sys
 from pathlib import Path
 
 import camph
+from camph import errors
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -38,3 +41,30 @@ def test_import_loads_no_numpy():
         check=True,
     )
     assert result.stdout == "False\n"
+
+
+def _raised_names(path: Path) -> set[str]:
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                names.add(exc.attr)
+    return names
+
+
+def test_every_error_is_raised_somewhere():
+    # an error type that nothing raises is dead API
+    declared = {
+        name
+        for name, obj in vars(errors).items()
+        if isinstance(obj, type) and obj.__module__ == errors.__name__
+    }
+    raised = set()
+    for path in (ROOT / "src" / "camph").glob("*.py"):
+        if path.name != "errors.py":
+            raised |= _raised_names(path)
+    unraised = declared - raised - {"CamphError"}
+    assert not unraised, unraised

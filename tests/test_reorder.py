@@ -1,8 +1,8 @@
 import hashlib
 import json
+import sys
+from collections import Counter
 from pathlib import Path
-
-import pytest
 
 from camph import (
     EngineOptions,
@@ -10,12 +10,9 @@ from camph import (
     SimplexTree,
     compute_persistence,
     diagram_equal,
-    reorder_slab,
     reordered_filtration,
-    slab_partition,
 )
-from camph.errors import SlabNotRelativelyClosed
-from camph.reorder import IsoSlab
+from camph.reorder import _key_ranges, _walk, slab_partition
 
 from tests.fixtures import (
     canned_complexes,
@@ -58,12 +55,6 @@ def test_slab_concatenation_reproduces_order():
         assert flattened == c.filtration_order()
 
 
-def test_singleton_slab():
-    c = full_triangle()
-    slab = IsoSlab(2.0, [(0, 1, 2)])
-    assert reorder_slab(c, slab) == [(0, 1, 2)]
-
-
 def test_reorder_is_inclusion_respecting_permutation():
     for _, c in canned_complexes().items():
         order = reordered_filtration(c)
@@ -76,9 +67,7 @@ def test_reorder_is_inclusion_respecting_permutation():
 
 
 def test_reorder_places_fill_right_after_its_faces():
-    c = two_adjacent_triangles()
-    slab = slab_partition(c)[1]
-    out = reorder_slab(c, slab)
+    out = reordered_filtration(two_adjacent_triangles())
     tri = (0, 1, 2)
     edges = {(0, 1), (0, 2), (1, 2)}
     tri_pos = out.index(tri)
@@ -105,33 +94,28 @@ def test_reorder_helps_on_iso_sphere():
 
 
 def test_each_slab_edge_traversed_at_most_twice():
-    for _, c in canned_complexes().items():
-        for slab in slab_partition(c):
-            counts: dict = {}
-            reorder_slab(c, slab, edge_traversals=counts)
-            assert all(n <= 2 for n in counts.values())
+    # climb walks the in-block cofaces of the key it enters and descend its
+    # in-block faces, so entering each member at most once per direction
+    # walks each incidence edge at most twice: the walk is linear
+    complexes = list(canned_complexes().values())
+    complexes += random_rips_corpus(quantize=True)
+    for c in complexes:
+        for lo, hi in _key_ranges(c):
+            entries: Counter = Counter()
 
+            def count(frame, event, arg):
+                name = frame.f_code.co_name
+                if event == "call" and name in ("climb", "descend"):
+                    entries[name, frame.f_locals["key"]] += 1
 
-def test_relative_closure_enforced():
-    # a partial block is fine while its same-value faces stay inside it
-    c = full_triangle()
-    assert reorder_slab(c, IsoSlab(1.0, [(0, 1)])) == [(0, 1)]
-
-    t = SimplexTree()
-    for v in range(3):
-        t.insert_simplex([v], 0.0)
-    for e in ((0, 1), (0, 2), (1, 2)):
-        t.insert_simplex(e, 1.0)
-    t.insert_simplex((0, 1, 2), 1.0)
-    t.finalize()
-    with pytest.raises(SlabNotRelativelyClosed):
-        reorder_slab(t, IsoSlab(1.0, [(0, 1, 2)]))
-
-
-def test_slab_value_mismatch_rejected():
-    c = full_triangle()
-    with pytest.raises(ValueError):
-        reorder_slab(c, IsoSlab(1.0, [(0,)]))
+            sys.setprofile(count)
+            try:
+                _walk(c, lo, hi)
+            finally:
+                sys.setprofile(None)
+            # only block members, each at most once per direction
+            assert all(lo <= key < hi for _, key in entries)
+            assert max(entries.values(), default=1) == 1, entries
 
 
 def test_reorder_preserves_diagrams():
