@@ -14,6 +14,11 @@ column. A column that becomes equal to a stored one forwards to it, so the
 forwarding pointers form a union-find forest over columns, walked with path
 compression.
 
+A signed boundary sum reads each face's column straight from the slot map,
+and a sum with at most one nonzero term is that term, negated at an odd
+position, with no accumulation: on flag complexes most face annotations
+are zero, so this is the common case.
+
 Destroying a cocycle with boundary annotation a_bd costs one modular
 inverse, then O(|column| + |a_bd|) per touched column: one merge pass
 that writes row-dict entries only for the rows in the support of a_bd,
@@ -145,19 +150,38 @@ class CompressedAnnotationMatrix:
     def signed_sum(self, slots) -> AnnotationVector:
         """Sum over j of (-1)^j times the annotation of ``slots[j]``.
 
-        One dict accumulates the sum with inline arithmetic, so no negated
-        copy is built. The field is charged what negating every odd term
-        and merge-adding the terms in order would cost: one negation per
-        entry of an odd term and one addition per row that a term shares
-        with the running sum. Raises UnassignedSlot at the first slot
-        without an annotation.
+        Each slot's column is read from the slot map directly, following
+        and compressing its forwards as ``find_annotation`` does. When at
+        most one term is nonzero, that term, negated at an odd position, is
+        the sum. Otherwise one dict accumulates the sum with inline
+        arithmetic, so no negated copy is built. Either way the field is
+        charged what negating every odd term and merge-adding the terms in
+        order would cost: one negation per entry of an odd term and one
+        addition per row that a term shares with the running sum. Raises
+        UnassignedSlot at the first slot without an annotation.
         """
+        table = self._slots
+        terms = []
+        for j, slot in enumerate(slots):
+            column = table.get(slot)
+            if column is None:
+                raise UnassignedSlot(f"slot {slot!r} has no annotation")
+            if column.forward is not None:
+                column = self._find(slot)
+            if column.key:
+                terms.append((j, column.key))
         p = self._field.p
-        find = self.find_annotation
+        if len(terms) < 2:
+            if not terms:
+                return ()
+            j, vec = terms[0]
+            if j % 2 == 0:
+                return vec
+            self._field.charge(len(vec))
+            return tuple([(row, p - c) for row, c in vec])
         acc: dict[int, int] = {}
         ops = 0
-        for j, slot in enumerate(slots):
-            vec = find(slot)
+        for j, vec in terms:
             odd = j % 2
             if odd:
                 ops += len(vec)

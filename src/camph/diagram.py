@@ -3,20 +3,19 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .simplex_tree import Simplex
 
 
-@dataclass(frozen=True)
-class PersistencePair:
+class PersistencePair(NamedTuple):
     """One diagram point: a class of dimension ``dim`` born at ``birth``
     and destroyed at ``death`` (infinite for essential classes).
 
     The creator/killer simplices are carried for inspection only; diagram
     comparison ignores them, as reordering the filtration may change which
-    simplex gets paired without changing the diagram.
+    simplex gets paired without changing the diagram. A pair is an
+    immutable 5-tuple of its fields.
     """
 
     dim: int
@@ -31,7 +30,7 @@ class PersistencePair:
 
     @property
     def triple(self) -> tuple[int, float, float]:
-        return (self.dim, self.birth, self.death)
+        return self[:3]
 
 
 class PersistenceDiagram:

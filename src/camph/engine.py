@@ -83,6 +83,7 @@ class PersistenceEngine:
         self._top_inserted: set[int] = set()
         self._pairs: list[PersistencePair] = []
         self._marked: dict[int, int] = {}  # key -> reserved row
+        self._marked_keys = self._marked.keys()  # a live view, kept for isdisjoint
         self._finished = False
         self._collector = StatsCollector() if self.options.record_stats else None
 
@@ -115,8 +116,13 @@ class PersistenceEngine:
         if self._finished:
             raise RuntimeError("finish() was already called")
         self._finished = True
-        for key in list(self._marked):
-            self._insert_creator(key, self._marked.pop(key))
+        marked = self._marked
+        for key, row in marked.items():
+            self._insert_creator(key, row)
+        if marked:
+            # the flush only creates, so every peak is reached at its end
+            self._sample()
+        marked.clear()
         pairs = list(self._pairs)
         for dim, rows in enumerate(self._creators):
             for row in sorted(rows):
@@ -147,25 +153,29 @@ class PersistenceEngine:
     def _insert(self, key: int, defer: bool) -> None:
         """The one insertion core behind insert() and lazy_evaluation().
 
-        Marked boundary faces are forced in first, oldest reserved row
-        first, so the two entry points can be mixed freely. A zero
+        A marked simplex goes in as a creator on its reserved row. Any
+        other simplex first forces its marked faces in, oldest reserved row
+        first, so the two entry points can be mixed freely; one C-level
+        disjointness test finds that most simplices have none. A zero
         boundary sum then marks the simplex when ``defer`` is set and
-        creates a class otherwise.
+        creates a class otherwise; a nonzero sum destroys a class one
+        dimension down.
         """
         if self._finished:
             raise RuntimeError("finish() was already called")
         marked = self._marked
-        if marked:
-            row = marked.pop(key, None)
-            if row is not None:
-                self._insert_creator(key, row)
-                return
-            deferred = [face for face in self._faces_of[key] if face in marked]
-            if deferred:
-                deferred.sort(key=marked.__getitem__)
-                for face in deferred:
-                    # through the public method, so wrappers see every insertion
-                    self.lazy_evaluation(self._simplex_of[face])
+        row = marked.pop(key, None)
+        if row is not None:
+            self._insert_creator(key, row)
+            self._sample()
+            return
+        faces = self._faces_of[key]
+        if not self._marked_keys.isdisjoint(faces):
+            deferred = [face for face in faces if face in marked]
+            deferred.sort(key=marked.__getitem__)
+            for face in deferred:
+                # through the public method, so wrappers see every insertion
+                self.lazy_evaluation(self._simplex_of[face])
         a_bd = self._boundary_annotation(key)
         dim = self._dim_of[key]
         top = dim == self._top
@@ -174,14 +184,28 @@ class PersistenceEngine:
             raise SlotAlreadyAssigned(
                 f"simplex {self._simplex_of[key]} was already inserted"
             )
-        if a_bd:
-            self._insert_killer(key, dim, a_bd)
-        elif not defer:
+        if not a_bd:
+            if defer:
+                marked[key] = key if top else self._matrices[dim].reserve_row()
+                return
             self._insert_creator(key)
-        elif top:
-            marked[key] = key
         else:
-            marked[key] = self._matrices[dim].reserve_row()
+            row = self._matrices[dim - 1].kill_cocycle(a_bd)
+            if top:
+                self._top_inserted.add(key)
+            else:
+                self._matrices[dim].assign_zero(key)
+            creator = self._creators[dim - 1].pop(row)
+            self._pairs.append(
+                PersistencePair(
+                    dim - 1,
+                    self._value_of[creator],
+                    self._value_of[key],
+                    self._simplex_of[creator],
+                    self._simplex_of[key],
+                )
+            )
+        self._sample()
 
     def _boundary_annotation(self, key: int) -> tuple:
         faces = self._faces_of[key]
@@ -206,24 +230,6 @@ class PersistenceEngine:
         else:
             row = self._matrices[dim].create_cocycle(key, row=row)
         self._creators[dim][row] = key
-        self._sample()
-
-    def _insert_killer(self, key: int, dim: int, a_bd: tuple) -> None:
-        row = self._matrices[dim - 1].kill_cocycle(a_bd)
-        if dim == self._top:
-            self._top_inserted.add(key)
-        else:
-            self._matrices[dim].assign_zero(key)
-        creator = self._creators[dim - 1].pop(row)
-        pair = PersistencePair(
-            dim - 1,
-            self._value_of[creator],
-            self._value_of[key],
-            self._simplex_of[creator],
-            self._simplex_of[key],
-        )
-        self._pairs.append(pair)
-        self._sample()
 
     def _sample(self) -> None:
         if self._collector is not None:

@@ -17,10 +17,6 @@ from .errors import ParseError
 from .simplex_tree import SimplexTree
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _data_lines(path):
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -78,6 +74,6 @@ def read_filtration(path) -> SimplexTree:
 def format_diagram(diagram: PersistenceDiagram) -> str:
     """Canonical text rendering, sorted by (dim, birth, death)."""
     triples = sorted(diagram.triples())
-    lines = [f"{dim} {_fmt(birth)} {_fmt(death)}" for dim, birth, death in triples]
+    lines = [f"{dim} {float(birth)!r} {float(death)!r}" for dim, birth, death in triples]
     return "\n".join(lines) + ("\n" if lines else "")
 

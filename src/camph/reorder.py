@@ -16,8 +16,8 @@ the dimension.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import groupby
 
 from .simplex_tree import Simplex, SimplexTree
 
@@ -33,9 +33,10 @@ class IsoSlab:
 
 def _key_ranges(complex: SimplexTree):
     """The ``(lo, hi)`` key range of each equal-value block, in order."""
+    value_of = complex.value_of
     lo = 0
-    for _, run in groupby(complex.value_of):
-        hi = lo + sum(1 for _ in run)
+    while lo < len(value_of):
+        hi = bisect_right(value_of, value_of[lo], lo)
         yield lo, hi
         lo = hi
 
@@ -105,15 +106,20 @@ def _walk(complex, lo: int, hi: int) -> list[int]:
 def reordered_filtration(complex: SimplexTree) -> list[Simplex]:
     """The full filtration with every equal-value block reordered."""
     faces_of = complex.faces_of
-    out: list[int] = []
-    for lo, hi in _key_ranges(complex):
-        block = range(lo, hi)
-        # A block whose every later member has the first as its one member
-        # face (one edge and the triangles it closes, say) climbs from the
-        # first member to all the others and emits them in key order.
-        if all(max(faces_of[key], default=-1) == lo for key in block[1:]):
-            out += block
-        else:
-            out += _walk(complex, lo, hi)
+    dim_of = complex.dim_of
     simplex_of = complex.simplex_of
-    return [simplex_of[key] for key in out]
+    out: list[Simplex] = []
+    for lo, hi in _key_ranges(complex):
+        # A block whose every later member has the first as its youngest
+        # face (one edge and the triangles it closes, say) climbs from the
+        # first member to all the others and emits them in key order. Keys
+        # of a block ascend in dimension, so a later member is a vertex, with
+        # no faces, only if the second one is; the check stops at the first
+        # member that fails it.
+        if hi - lo == 1 or (
+            dim_of[lo + 1] and all(map(lo.__eq__, map(max, faces_of[lo + 1 : hi])))
+        ):
+            out += simplex_of[lo:hi]
+        else:
+            out += map(simplex_of.__getitem__, _walk(complex, lo, hi))
+    return out

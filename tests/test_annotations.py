@@ -512,6 +512,63 @@ def _links(m, slot) -> int:
     return links
 
 
+def _folding_program(p, lookups=()):
+    """Five creations, then four kills that each fold the youngest live
+    column onto the next older one: slot 4's column forwards to slot 3's,
+    3's to 2's, 2's to 1's and 1's to 0's, a chain of four links; every
+    kill after the first collides a column that another already forwards
+    to. ``lookups`` are the slots the last step looks up, before any other
+    lookup."""
+    folds = [(("random", [(i, p - 1), (i + 1, 1)]), []) for i in (3, 2, 1, 0)]
+    folds[-1] = (folds[-1][0], list(lookups))
+    return [(("create",), [])] * 5 + folds
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_folding_program_reaches_a_four_link_chain(p, monkeypatch):
+    longest = []
+    lookup = CompressedAnnotationMatrix.find_annotation
+
+    def measured(self, slot):
+        longest.append(_links(self, slot))
+        return lookup(self, slot)
+
+    monkeypatch.setattr(CompressedAnnotationMatrix, "find_annotation", measured)
+    paths = _run_program(p, _folding_program(p, lookups=[4, 0]))
+    assert longest[0] == 4 and max(longest) == 4
+    assert {"merge", "remerge"} <= paths
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_signed_sum_follows_and_compresses_forwards(p):
+    # signed_sum meets the four-link chain before any find_annotation call,
+    # so its own read of the slot map must follow and compress it
+    field = OpCountingField(p)
+    m = CompressedAnnotationMatrix(field, debug=True)
+    model = {}
+    for slot in range(6):
+        model[slot] = {m.create_cocycle(slot): 1}
+    m.assign_zero(6)
+    model[6] = {}
+    for i in (3, 2, 1, 0):
+        a_bd = ((i, p - 1), (i + 1, 1))
+        m.kill_cocycle(a_bd)
+        model = {slot: _dense_kill(x, a_bd, p) for slot, x in model.items()}
+    assert _links(m, 4) == 4
+    # many terms, one term at an odd position, one at an even one, none
+    for slots in ([4, 5, 2, 6, 3], [6, 4], [3, 6], [6, 6]):
+        expected, ops = _model_signed_sum([model[i] for i in slots], p)
+        before = field.ops
+        assert m.signed_sum(slots) == expected, slots
+        assert field.ops - before == ops, slots
+    # every slot the sums read now points at its chain's end; slot 1, never
+    # read, still forwards once
+    assert [_links(m, slot) for slot in range(6)] == [0, 1, 0, 0, 0, 0]
+    assert m._slots[4] is m._slots[0]
+    for slot, x in model.items():
+        assert m.find_annotation(slot) == _vector(x), slot
+
+
 @pytest.mark.parametrize("p,links", [(2, 3), (3, 2), (7919, 2)])
 def test_kill_programs_reach_forward_chains(p, links, monkeypatch):
     # some find_annotation call of the drawn programs follows a forwarding

@@ -59,3 +59,15 @@ def test_bench_samplers_run_on_a_filtration(sample, tmp_path):
     traced = sample.traced_sample(workload, RP2, tmp_path / "traced.dgm")
     assert traced["oracle_equal"]
     assert traced["digest"] == counted["digest"]
+
+
+def test_bench_sees_every_lazy_insertion(sample, tmp_path):
+    # under the tied_blocks flags every simplex enters once through
+    # lazy_evaluation and every forced face once more (insert is never
+    # called, so engine.calls counts lazy_evaluation spans alone): the
+    # bench's spans see each per-simplex call
+    workload = dataclasses.replace(sample.WORKLOADS["tied_blocks"], prime=2)
+    traced = sample.traced_sample(workload, RP2, tmp_path / "traced.dgm")
+    counts = traced["counts"]
+    assert counts["engine.forced"] > 0
+    assert counts["engine.calls"] == traced["simplices"] + counts["engine.forced"]

@@ -120,6 +120,23 @@ def test_missing_face_detected():
         engine.insert((0, 1))
 
 
+@pytest.mark.parametrize(
+    "face_entry,coface_entry",
+    [("lazy_evaluation", "insert"), ("lazy_evaluation", "lazy_evaluation")],
+)
+def test_missing_face_named_after_marked_face_is_forced(face_entry, coface_entry):
+    # (1,) is marked and (0,) was never inserted: the marked face goes in,
+    # and the error names the never-inserted one
+    c = full_triangle()
+    engine = PersistenceEngine(c, F2, STANDARD)
+    getattr(engine, face_entry)((1,))
+    assert engine.is_marked((1,))
+    with pytest.raises(MissingFace, match=r"face \(0,\) of \(0, 1\)"):
+        getattr(engine, coface_entry)((0, 1))
+    assert not engine.is_marked((1,))
+    assert engine.live_cocycle_count(0) == 1
+
+
 def test_full_triangle_diagram():
     d, _ = compute_persistence(full_triangle(), F2, STANDARD)
     assert d.multiset() == Counter(
