@@ -53,7 +53,9 @@ def build_rips(points, max_edge_length: float, max_dim: int) -> SimplexTree:
     filtration value is that diameter, with vertices at 0. Cliques are
     grown by intersecting sorted upper-neighbor lists, so enumeration is
     lexicographic and duplicate-free, and the result is closed and
-    monotone by construction.
+    monotone by construction. Each candidate vertex carries its largest
+    distance to the clique, so a grown clique's diameter takes one
+    comparison; the finished value dict goes to the tree in one piece.
     """
     if not max_edge_length >= 0:
         raise ValueError(
@@ -66,26 +68,38 @@ def build_rips(points, max_edge_length: float, max_dim: int) -> SimplexTree:
     pts = _rows(points)
     if not all(math.isfinite(x) for point in pts for x in point):
         raise ValueError("point coordinates must be finite")
-    n = len(pts)
-    dist = _upper_distances(pts)  # read only at [u][v] with u < v
-    upper = [
-        [u for u in range(v + 1, n) if dist[v][u] <= max_edge_length]
-        for v in range(n)
+    dist = _upper_distances(pts)
+    # near[v]: each later vertex within reach of v -> its distance to v
+    near = [
+        {u: d for u, d in enumerate(row[v + 1 :], v + 1) if d <= max_edge_length}
+        for v, row in enumerate(dist)
     ]
-    upper_sets = [set(us) for us in upper]
-    tree = SimplexTree()
+    values: dict[tuple[int, ...], float] = {}
 
-    def expand(simplex: tuple[int, ...], candidates: list[int], diameter: float):
-        tree.insert_simplex(simplex, diameter)
-        if len(simplex) - 1 == max_dim:
-            return
-        for i, v in enumerate(candidates):
-            grown = max(diameter, max(dist[u][v] for u in simplex))
-            shared = [w for w in candidates[i + 1 :] if w in upper_sets[v]]
-            expand(simplex + (v,), shared, grown)
+    def expand(
+        simplex: tuple[int, ...], candidates: list[tuple[int, float]], diameter: float
+    ):
+        # candidates: (w, reach) for each common later neighbour w of the
+        # simplex's vertices, reach being w's largest distance to them
+        values[simplex] = diameter
+        if len(simplex) == max_dim:  # the cofaces are top simplices
+            for w, reach in candidates:
+                values[simplex + (w,)] = reach if reach > diameter else diameter
+        elif len(simplex) < max_dim:
+            for i, (v, reach) in enumerate(candidates):
+                links = near[v]
+                shared = [
+                    (w, r if r >= d else d)
+                    for w, r in candidates[i + 1 :]
+                    if (d := links.get(w)) is not None
+                ]
+                expand(simplex + (v,), shared, reach if reach > diameter else diameter)
 
-    for v in range(n):
-        expand((v,), upper[v], 0.0)
-    tree.finalize()
-    return tree
-
+    for v, links in enumerate(near):
+        expand((v,), list(links.items()), 0.0)
+    # Squared distances overflow to inf only for coordinates near the float
+    # limit, and such an edge is in reach only when max_edge_length is inf.
+    if math.inf in values.values():
+        simplex = next(s for s, value in values.items() if value == math.inf)
+        raise ValueError(f"value inf of {simplex} is not finite")
+    return SimplexTree._from_values(values)

@@ -14,7 +14,7 @@ import math
 
 from .diagram import PersistenceDiagram
 from .errors import ParseError
-from .simplex_tree import SimplexTree
+from .simplex_tree import SimplexTree, _checked
 
 
 def _data_lines(path):
@@ -52,23 +52,33 @@ def read_points(path) -> list[tuple[float, ...]]:
 
 def read_filtration(path) -> SimplexTree:
     """Load and finalize a filtration; closure/monotonicity violations
-    surface from finalize()."""
-    tree = SimplexTree()
+    surface from finalize().
+
+    Each line is checked as SimplexTree.insert_simplex checks a simplex,
+    with the same messages, and a simplex listed twice keeps its smaller
+    value.
+    """
+    values: dict[tuple[int, ...], float] = {}
     for lineno, line in _data_lines(path):
         tokens = line.split()
         if len(tokens) < 2:
             raise ParseError("expected: value v0 [v1 ...]", path=path, line=lineno)
         try:
             value = float(tokens[0])
-            verts = [int(tok) for tok in tokens[1:]]
+            verts = sorted(map(int, tokens[1:]))
         except ValueError as exc:
             raise ParseError(f"bad token ({exc})", path=path, line=lineno)
-        try:
-            tree.insert_simplex(verts, value)
-        except ValueError as exc:
-            raise ParseError(str(exc), path=path, line=lineno)
-    tree.finalize()
-    return tree
+        simplex = tuple(verts)
+        if verts[0] < 0 or len(set(verts)) < len(verts) or not math.isfinite(value):
+            # _checked raises with the message insert_simplex gives
+            try:
+                _checked(simplex, value)
+            except ValueError as exc:
+                raise ParseError(str(exc), path=path, line=lineno)
+        old = values.get(simplex)
+        if old is None or value < old:
+            values[simplex] = value
+    return SimplexTree._from_values(values)
 
 
 def format_diagram(diagram: PersistenceDiagram) -> str:

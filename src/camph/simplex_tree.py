@@ -1,11 +1,19 @@
 """Filtered simplicial complexes keyed by sorted vertex tuples.
 
 While building, the complex is a dict from each simplex's ascending
-vertex tuple to its filtration value. finalize() sorts it into filtration
-order once and numbers it: a simplex's key is its filtration position,
-and per-key views give each key's vertex tuple, value, dimension and
-boundary face keys, so the engine and the reordering never look a simplex
-up again.
+vertex tuple to its filtration value. It is filled in one of two ways:
+insert_simplex() checks and stores one simplex at a time, for callers
+that build a complex by hand; read_filtration() and build_rips() check
+their input themselves and hand over the whole dict at once through
+SimplexTree._from_values(), with no call per simplex.
+
+Either way, finalize() is the one place that freezes the complex. It
+sorts the simplices into filtration order once and numbers them: a
+simplex's key is its filtration position, and per-key views give each
+key's vertex tuple, value, dimension and boundary face keys, so the
+engine and the reordering never look a simplex up again. Closure and
+monotonicity are checked there, by the face-key lookups themselves: in a
+valid filtration every face is numbered before its cofaces.
 """
 from __future__ import annotations
 
@@ -17,7 +25,9 @@ from .errors import ClosureViolation, MonotonicityViolation, UnknownSimplex
 Simplex = tuple[int, ...]
 
 
-def _canonical(vertices: Iterable[int]) -> Simplex:
+def _checked(vertices: Iterable[int], value: float) -> tuple[Simplex, float]:
+    """The ascending vertex tuple and float value of one simplex; raises
+    ValueError naming the first fault, as insert_simplex reports it."""
     verts = tuple(sorted(vertices))
     if not verts:
         raise ValueError("a simplex needs at least one vertex")
@@ -26,7 +36,10 @@ def _canonical(vertices: Iterable[int]) -> Simplex:
             raise ValueError(f"vertex ids must be non-negative ints, got {v!r}")
     if len(set(verts)) != len(verts):
         raise ValueError(f"duplicate vertices in {verts}")
-    return verts
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"value {value} of {verts} is not finite")
+    return verts, value
 
 
 class SimplexTree:
@@ -60,14 +73,26 @@ class SimplexTree:
         """
         if self._finalized:
             raise RuntimeError("complex is finalized")
-        verts = _canonical(vertices)
-        value = float(value)
-        if not math.isfinite(value):
-            raise ValueError(f"value {value} of {verts} is not finite")
+        verts, value = _checked(vertices, value)
         old = self._values.get(verts)
         if old is None or value < old:
             self._values[verts] = value
         self._dim = max(self._dim, len(verts) - 1)
+
+    @classmethod
+    def _from_values(cls, values: dict[Simplex, float]) -> SimplexTree:
+        """A finalized tree over ``values``, built in one pass.
+
+        The caller has already checked each entry as insert_simplex
+        would: keys are ascending tuples of distinct non-negative int
+        vertex ids, values are finite floats. Closure and monotonicity
+        are left to finalize().
+        """
+        tree = cls()
+        tree._values = values
+        tree._dim = max(map(len, values), default=0) - 1
+        tree.finalize()
+        return tree
 
     def finalize(self) -> None:
         """Validate closure under faces and value monotonicity, then freeze.
@@ -78,24 +103,42 @@ class SimplexTree:
         """
         if self._finalized:
             return
-        order = sorted(self._values, key=lambda s: (self._values[s], len(s), s))
+        records = sorted([(value, len(s), s) for s, value in self._values.items()])
+        simplex_of = tuple([s for _, _, s in records])
+        value_of = tuple([value for value, _, _ in records])
+        dim_of = tuple([size - 1 for _, size, _ in records])
+        del records
         keys: dict[Simplex, int] = {}
         faces = []
-        for key, simplex in enumerate(order):
-            face_keys = []
-            if len(simplex) > 1:
-                for j in range(len(simplex)):
-                    face = simplex[:j] + simplex[j + 1 :]
-                    face_key = keys.get(face)
-                    if face_key is None:
-                        self._raise_bad_face(simplex, face)
-                    face_keys.append(face_key)
-            keys[simplex] = key
-            faces.append(tuple(face_keys))
+        append = faces.append
+        try:
+            for key, simplex in enumerate(simplex_of):
+                size = len(simplex)
+                if size == 1:
+                    append(())
+                elif size == 2:
+                    a, b = simplex
+                    append((keys[(b,)], keys[(a,)]))
+                elif size == 3:
+                    a, b, c = simplex
+                    append((keys[b, c], keys[a, c], keys[a, b]))
+                elif size == 4:
+                    a, b, c, d = simplex
+                    append((keys[b, c, d], keys[a, c, d], keys[a, b, d], keys[a, b, c]))
+                else:
+                    append(
+                        tuple([keys[simplex[:j] + simplex[j + 1 :]] for j in range(size)])
+                    )
+                keys[simplex] = key
+        except KeyError:  # name the first face without a key
+            for j in range(size):
+                face = simplex[:j] + simplex[j + 1 :]
+                if face not in keys:
+                    self._raise_bad_face(simplex, face)
         self._keys = keys
-        self.simplex_of = tuple(order)
-        self.value_of = tuple(self._values[s] for s in order)
-        self.dim_of = tuple(len(s) - 1 for s in order)
+        self.simplex_of = simplex_of
+        self.value_of = value_of
+        self.dim_of = dim_of
         self.faces_of = tuple(faces)
         self._finalized = True
 

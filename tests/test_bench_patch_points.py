@@ -71,3 +71,33 @@ def test_bench_sees_every_lazy_insertion(sample, tmp_path):
     counts = traced["counts"]
     assert counts["engine.forced"] > 0
     assert counts["engine.calls"] == traced["simplices"] + counts["engine.forced"]
+
+
+@pytest.mark.parametrize("workload_name", ["tied_blocks", "rips_torus"])
+def test_bench_attributes_setup_to_reader_and_finalize(sample, tmp_path, workload_name):
+    # the reader or builder freezes its complex through SimplexTree.finalize,
+    # so a traced load records a finalize span inside the reader's or the
+    # builder's own span, and both layers get time
+    workload = sample.WORKLOADS[workload_name]
+    if workload.input_format == "points":
+        path = tmp_path / "points.txt"
+        path.write_text("0.0 0.0 0.0\n0.5 0.0 0.0\n0.0 0.5 0.0\n3.0 3.0 3.0\n")
+        outer, layer = "builders.build_rips", "builders.rips_s"
+    else:
+        workload = dataclasses.replace(workload, prime=2)
+        path = RP2
+        outer, layer = "io.read_filtration", "io.read_s"
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    sample.instrument(tracer)
+    try:
+        sample.load(workload, path)
+    finally:
+        tracer.restore()
+    names = [name for name, *_ in tracer.spans]
+    assert names.count(outer) == 1 and names.count("simplex_tree.finalize") == 1
+    finalize = tracer.spans[names.index("simplex_tree.finalize")]
+    assert tracer.spans[finalize[3]][0] == outer
+    layers = sample.traced_sample(workload, path, tmp_path / "traced.dgm")["layers"]
+    assert layers[layer] > 0
+    assert layers["simplex_tree.finalize_s"] > 0

@@ -117,6 +117,18 @@ def test_non_finite_coordinates_rejected(bad):
         build_rips([[0.0, 0.0], [bad, 1.0], [1.0, 0.0]], 2.0, 2)
 
 
+def test_overflowing_distance_rejected():
+    # finite coordinates whose squared difference overflows: the edge is in
+    # reach only under an infinite cap, and its value is named as inf
+    with pytest.raises(ValueError, match=r"^value inf of \(0, 1\) is not finite$"):
+        build_rips([(0.0,), (1e200,)], math.inf, 1)
+    # the first simplex built with an infinite value is the one named
+    with pytest.raises(ValueError, match=r"^value inf of \(0, 1, 2\) is not finite$"):
+        build_rips([(0.0,), (1.0,), (1e200,)], math.inf, 2)
+    # without edges nothing overflows
+    assert len(build_rips([(0.0,), (1e200,)], math.inf, 0)) == 2
+
+
 def test_unquantized_rips_bytes_match_recorded_digests():
     # the quantized corpora round diameters to one decimal, which hides a
     # last-bit change in a distance; these digests see every bit

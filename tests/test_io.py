@@ -64,6 +64,50 @@ def test_read_filtration_reports_line_numbers(tmp_path):
         read_filtration(path)
 
 
+def test_read_filtration_sorts_each_line(tmp_path):
+    path = tmp_path / "unsorted.flt"
+    path.write_text("0.0 2\n0.0 0\n0.0 1\n1.0 1 0\n1.0 2 0\n1.0 2 1\n2.0 2 0 1\n")
+    c = read_filtration(path)
+    assert c.simplex_of[-1] == (0, 1, 2)
+    assert c.value((0, 1, 2)) == 2.0
+    assert sorted(s for s, _ in c.simplices()) == [
+        (0,), (0, 1), (0, 1, 2), (0, 2), (1,), (1, 2), (2,)
+    ]
+
+
+@pytest.mark.parametrize(
+    "lines", [["0.0 0", "0.0 1", "1.0 0 1", "3.0 1 0"], ["0.0 0", "0.0 1", "3.0 0 1", "1.0 1 0"]]
+)
+def test_read_filtration_twice_listed_simplex_keeps_smaller_value(tmp_path, lines):
+    path = tmp_path / "twice.flt"
+    path.write_text("\n".join(lines) + "\n")
+    c = read_filtration(path)
+    assert len(c) == 3
+    assert c.value((0, 1)) == 1.0
+    assert c.value_of == (0.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("1.0 0 -1", "vertex ids must be non-negative ints, got -1"),
+        ("1.0 -2 0 -1", "vertex ids must be non-negative ints, got -2"),
+        ("1.0 0 0", "duplicate vertices in (0, 0)"),
+        ("inf 1 0", "value inf of (0, 1) is not finite"),
+        ("-inf 0", "value -inf of (0,) is not finite"),
+        ("nan 1", "value nan of (1,) is not finite"),
+        ("1e400 1 0", "value inf of (0, 1) is not finite"),
+    ],
+)
+def test_read_filtration_rejects_bad_simplices_by_line(tmp_path, line, message):
+    path = tmp_path / "bad.flt"
+    path.write_text(f"# header\n0.0 0\n0.0 1\n\n{line}\n")
+    with pytest.raises(ParseError) as err:
+        read_filtration(path)
+    assert err.value.line == 5
+    assert str(err.value) == f"{path}:5: {message}"
+
+
 def test_read_filtration_surfaces_validation_errors(tmp_path):
     path = tmp_path / "open.flt"
     path.write_text("1.0 0 1\n")

@@ -18,6 +18,7 @@ from camph import (
     compute_persistence,
     diagram_equal,
     oracle_reduce,
+    read_filtration,
     reordered_filtration,
 )
 from camph.reorder import _key_ranges, _walk
@@ -82,6 +83,28 @@ def test_engine_matches_oracle_for_every_prime_and_mode(values):
         for options in (*MODES, AUDITED):
             diagram, _ = compute_persistence(tree, field, options)
             assert diagram_equal(diagram, reference), (p, options)
+
+
+@settings(max_examples=60, deadline=None)
+@given(closed_filtrations(), st.data())
+def test_read_filtration_matches_insertion(tmp_path_factory, values, data):
+    # the reader builds its complex in one pass; it must freeze the same
+    # complex as one insert_simplex per line and finalize()
+    lines = [
+        " ".join([repr(value), *map(str, data.draw(st.permutations(simplex)))])
+        for simplex, value in values.items()
+    ]
+    path = tmp_path_factory.mktemp("flt") / "shuffled.flt"
+    path.write_text("\n".join(data.draw(st.permutations(lines))) + "\n")
+    read = read_filtration(path)
+    inserted = tree_of(values)
+    assert read.simplex_of == inserted.simplex_of
+    assert read.value_of == inserted.value_of
+    assert read.dim_of == inserted.dim_of
+    assert read.faces_of == inserted.faces_of
+    assert read.dimension == inserted.dimension
+    for simplex in values:
+        assert read.key(simplex) == inserted.key(simplex)
 
 
 @settings(max_examples=100, deadline=None)

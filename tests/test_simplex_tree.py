@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import pytest
 
@@ -124,6 +125,45 @@ def test_keys_are_filtration_positions():
     t.insert_simplex([0], 0.0)
     with pytest.raises(RuntimeError):
         t.key((0,))
+
+
+def _full_simplex(size: int, value_of=lambda s: float(len(s)), skip=()) -> SimplexTree:
+    """Every face of the simplex on ``size`` vertices except ``skip``."""
+    t = SimplexTree()
+    for k in range(1, size + 1):
+        for simplex in combinations(range(size), k):
+            if simplex not in skip:
+                t.insert_simplex(simplex, value_of(simplex))
+    return t
+
+
+@pytest.mark.parametrize("size", range(1, 7))
+def test_face_keys_for_every_simplex_size(size):
+    c = _full_simplex(size)
+    c.finalize()
+    for key, simplex in enumerate(c.simplex_of):
+        faces = [c.simplex_of[f] for f in c.faces_of[key]]
+        assert faces == [face for face, _ in c.boundary(simplex)]
+        assert c.dim_of[key] == len(simplex) - 1
+
+
+@pytest.mark.parametrize("size", range(2, 7))
+def test_bad_face_named_for_every_simplex_size(size):
+    # faces are looked up in boundary order, so the first bad one is named;
+    # faces 0 and size - 1 of the top simplex are faces of nothing else
+    top = tuple(range(size))
+    t = _full_simplex(size, skip=(top[1:], top[:-1]))
+    with pytest.raises(ClosureViolation) as err:
+        t.finalize()
+    assert str(err.value) == f"simplex {top} is stored but its face {top[1:]} is not"
+    assert not t.finalized
+    late = top[:-1]
+    t = _full_simplex(size, lambda s: 9.0 if s == late else float(len(s)))
+    with pytest.raises(MonotonicityViolation) as err:
+        t.finalize()
+    assert str(err.value) == (
+        f"face {late} has value 9.0 above value {float(size)} of its coface {top}"
+    )
 
 
 def test_filtration_order_two_components():
