@@ -23,6 +23,17 @@ Destroying a cocycle with boundary annotation a_bd costs one modular
 inverse, then O(|column| + |a_bd|) per touched column: one merge pass
 that writes row-dict entries only for the rows in the support of a_bd,
 since every other row of the column keeps its coefficient.
+
+A fold stands for a creation that a kill undoes at once. A slot created
+on reserved row r and then summed with other slots s (at sign c = +-1)
+gives s + c at row r; when every row of s is below r, the kill removes
+row r and touches only the new unit column, which becomes -c * s. The
+fold assigns the slot that column directly, never creating row r: the
+annotation-matrix analogue of Ripser's apparent pairs (Bauer, arXiv
+1908.02518). It charges the field exactly what the create, the sum and
+the kill would have, so field operation counts are those of the unfolded
+algorithm, and the matrix's live rows, distinct columns and nonzeros
+after it are too.
 """
 from __future__ import annotations
 
@@ -160,42 +171,60 @@ class CompressedAnnotationMatrix:
         addition per row that a term shares with the running sum. Raises
         UnassignedSlot at the first slot without an annotation.
         """
-        table = self._slots
-        terms = []
-        for j, slot in enumerate(slots):
-            column = table.get(slot)
-            if column is None:
-                raise UnassignedSlot(f"slot {slot!r} has no annotation")
-            if column.forward is not None:
-                column = self._find(slot)
-            if column.key:
-                terms.append((j, column.key))
+        vec, ops = self._sum(slots)
+        if ops:
+            self._field.charge(ops)
+        return vec
+
+    def fold(self, slot, row, slots) -> bool:
+        """Create and at once destroy the class of ``slot`` on reserved
+        ``row``, if the coface with boundary ``slots`` would kill it.
+
+        ``slot`` is one of ``slots`` and has no annotation yet; s is the
+        signed sum of the others, in their positions, and c the sign of
+        ``slot``'s own position. Were ``slot`` created on ``row``, the
+        boundary sum would be s + c at ``row``; when every row of s is below
+        ``row`` (or s is zero) that sum's maximal row is ``row``, so
+        ``kill_cocycle`` would touch only the new unit column and leave it
+        -c * s. The fold assigns ``slot`` that column directly, never
+        creating ``row``, and charges the field what ``create_cocycle``, the
+        full ``signed_sum`` and that kill would have charged: the sum of the
+        others, 1 for negating the unit term at an odd position, 3 for the
+        kill's negation, division and shared-row addition, and |s| + 1
+        multiplications when -1/c != 1. Returns True; otherwise (some row of
+        s is above ``row``) returns False and changes and charges nothing.
+        Raises UnassignedSlot, with no change, if another slot has no
+        annotation.
+        """
+        self._check_free(slot)
+        if row >= self._next_row or row in self._rows:
+            raise InvariantViolation(f"row {row} was not reserved or is live")
+        vec, ops = self._sum(slots, slot)
+        if vec and vec[-1][0] > row:
+            return False
         p = self._field.p
-        if len(terms) < 2:
-            if not terms:
-                return ()
-            j, vec = terms[0]
-            if j % 2 == 0:
-                return vec
-            self._field.charge(len(vec))
-            return tuple([(row, p - c) for row, c in vec])
-        acc: dict[int, int] = {}
-        ops = 0
-        for j, vec in terms:
-            odd = j % 2
-            if odd:
-                ops += len(vec)
-            for row, c in vec:
-                if odd:
-                    c = p - c
-                x = acc.pop(row, 0)
-                if x:
-                    ops += 1
-                    c = (x + c) % p
-                if c:
-                    acc[row] = c
+        if slots.index(slot) % 2:
+            # c = -1: the unit term was negated, and -1/c = 1 scales nothing
+            ops += 4
+        elif p == 2:
+            ops += 3  # -1/c = 1 again, and -s = s
+        else:
+            ops += 4 + len(vec)
+            vec = tuple([(r, p - c) for r, c in vec])
         self._field.charge(ops)
-        return tuple(sorted(acc.items()))
+        if not vec:
+            self._slots[slot] = self._zero
+        elif vec in self._columns:
+            self._slots[slot] = self._columns[vec]
+        else:
+            column = self._slots[slot] = self._columns[vec] = _Column(vec)
+            rows = self._rows
+            for r, c in vec:
+                rows[r][column] = c
+            self._nnz += len(vec)
+        if self._debug:
+            self.check_invariants()
+        return True
 
     def kill_cocycle(self, boundary_annotation: AnnotationVector) -> int:
         """Remove the youngest cocycle meeting ``boundary_annotation``.
@@ -289,6 +318,46 @@ class CompressedAnnotationMatrix:
     def _check_free(self, slot) -> None:
         if slot in self._slots:
             raise SlotAlreadyAssigned(f"slot {slot!r} is already assigned")
+
+    def _sum(self, slots, held=None) -> tuple[AnnotationVector, int]:
+        # signed_sum's vector and the field operations it makes, uncharged;
+        # an unassigned slot equal to ``held`` is a zero term
+        table = self._slots
+        terms = []
+        for j, slot in enumerate(slots):
+            column = table.get(slot)
+            if column is None:
+                if slot == held:
+                    continue
+                raise UnassignedSlot(f"slot {slot!r} has no annotation")
+            if column.forward is not None:
+                column = self._find(slot)
+            if column.key:
+                terms.append((j, column.key))
+        p = self._field.p
+        if len(terms) < 2:
+            if not terms:
+                return (), 0
+            j, vec = terms[0]
+            if j % 2 == 0:
+                return vec, 0
+            return tuple([(row, p - c) for row, c in vec]), len(vec)
+        acc: dict[int, int] = {}
+        ops = 0
+        for j, vec in terms:
+            odd = j % 2
+            if odd:
+                ops += len(vec)
+            for row, c in vec:
+                if odd:
+                    c = p - c
+                x = acc.pop(row, 0)
+                if x:
+                    ops += 1
+                    c = (x + c) % p
+                if c:
+                    acc[row] = c
+        return tuple(sorted(acc.items())), ops
 
     def _find(self, slot) -> _Column:
         # the end of the slot's forwarding chain; every column on the chain,

@@ -21,6 +21,20 @@ creation would have stored them.
 Two insertion-order strategies are available: deferring each creator
 until one of its cofaces arrives, and reordering equal-value blocks; both
 leave the diagram unchanged.
+
+A deferred creator is most often killed by the very coface that forces
+it. The coface's youngest marked face sigma, on reserved row r, is
+therefore folded into it when the signed sum s of the coface's other faces
+is zero or has every row below r: forcing sigma would create a class on r
+that the coface kills at once, touching only sigma's unit column, which
+the kill leaves as -c * s for sigma's sign c in the boundary. The matrix
+assigns sigma that column without creating row r, and (sigma, coface) is
+paired directly. This is the annotation-matrix analogue of Ripser's
+apparent pairs (Bauer, arXiv 1908.02518). The field is charged what the
+unfolded create, sum and kill would have charged, and the run statistics
+count sigma's class at the moment its creation would have stored it, so
+``G_m``, ``S_m``, nonzeros and field operations are those of the unfolded
+algorithm.
 """
 from __future__ import annotations
 
@@ -123,14 +137,14 @@ class PersistenceEngine:
             # the flush only creates, so every peak is reached at its end
             self._sample()
         marked.clear()
+        # zero-length pairs were dropped as they were recorded; values are
+        # finite, so no essential pair has zero length
         pairs = list(self._pairs)
         for dim, rows in enumerate(self._creators):
             for row in sorted(rows):
                 creator = rows[row]
                 simplex, birth = self._simplex_of[creator], self._value_of[creator]
                 pairs.append(PersistencePair(dim, birth, math.inf, simplex))
-        if not self.options.emit_zero_length:
-            pairs = [q for q in pairs if q.birth != q.death]
         return PersistenceDiagram(pairs)
 
     # ------------------------------------------------------------------
@@ -156,10 +170,13 @@ class PersistenceEngine:
         A marked simplex goes in as a creator on its reserved row. Any
         other simplex first forces its marked faces in, oldest reserved row
         first, so the two entry points can be mixed freely; one C-level
-        disjointness test finds that most simplices have none. A zero
-        boundary sum then marks the simplex when ``defer`` is set and
-        creates a class otherwise; a nonzero sum destroys a class one
-        dimension down.
+        disjointness test finds that most simplices have none. The face
+        with the youngest reserved row r is held back: if the signed sum of
+        the other faces is zero or lies below r, that face is folded into
+        the simplex, which then goes in as its killer (see ``_fold``), and
+        only otherwise is it forced too. A zero boundary sum then marks the
+        simplex when ``defer`` is set and creates a class otherwise; a
+        nonzero sum destroys a class one dimension down.
         """
         if self._finished:
             raise RuntimeError("finish() was already called")
@@ -173,9 +190,13 @@ class PersistenceEngine:
         if not self._marked_keys.isdisjoint(faces):
             deferred = [face for face in faces if face in marked]
             deferred.sort(key=marked.__getitem__)
+            youngest = deferred.pop()
             for face in deferred:
                 # through the public method, so wrappers see every insertion
                 self.lazy_evaluation(self._simplex_of[face])
+            if self._fold(key, youngest, faces):
+                return
+            self.lazy_evaluation(self._simplex_of[youngest])
         a_bd = self._boundary_annotation(key)
         dim = self._dim_of[key]
         top = dim == self._top
@@ -191,21 +212,49 @@ class PersistenceEngine:
             self._insert_creator(key)
         else:
             row = self._matrices[dim - 1].kill_cocycle(a_bd)
-            if top:
-                self._top_inserted.add(key)
-            else:
-                self._matrices[dim].assign_zero(key)
-            creator = self._creators[dim - 1].pop(row)
+            self._insert_killer(key, dim, self._creators[dim - 1].pop(row))
+        self._sample()
+
+    def _fold(self, key: int, face: int, faces: tuple) -> bool:
+        """Create marked ``face`` and let ``key`` kill it, in one step.
+
+        ``face`` holds the youngest reserved row of ``key``'s marked faces,
+        and the others are in. When no other face's annotation reaches a
+        row above ``face``'s, forcing ``face`` would create a class that
+        ``key`` kills at once; the matrix then gives ``face`` the column
+        that kill would leave, and ``key`` goes in as its killer. Returns
+        False, with no change, when it does not apply or some other face
+        was never inserted.
+        """
+        dim = self._dim_of[face]
+        if self._collector is not None:
+            # face's birth, counted as it would have been stored; if the
+            # fold does not apply, forcing face takes this same sample
+            self._sample(transient=dim)
+        try:
+            if not self._matrices[dim].fold(face, self._marked[face], faces):
+                return False
+        except UnassignedSlot:
+            return False
+        del self._marked[face]
+        self._insert_killer(key, dim + 1, face)
+        self._sample()
+        return True
+
+    def _insert_killer(self, key: int, dim: int, creator: int) -> None:
+        # key has the zero annotation and closes the class of creator; a
+        # zero-length pair is recorded only when it is emitted
+        if dim == self._top:
+            self._top_inserted.add(key)
+        else:
+            self._matrices[dim].assign_zero(key)
+        birth, death = self._value_of[creator], self._value_of[key]
+        if birth != death or self.options.emit_zero_length:
             self._pairs.append(
                 PersistencePair(
-                    dim - 1,
-                    self._value_of[creator],
-                    self._value_of[key],
-                    self._simplex_of[creator],
-                    self._simplex_of[key],
+                    dim - 1, birth, death, self._simplex_of[creator], self._simplex_of[key]
                 )
             )
-        self._sample()
 
     def _boundary_annotation(self, key: int) -> tuple:
         faces = self._faces_of[key]
@@ -231,9 +280,11 @@ class PersistenceEngine:
             row = self._matrices[dim].create_cocycle(key, row=row)
         self._creators[dim][row] = key
 
-    def _sample(self) -> None:
+    def _sample(self, transient: int | None = None) -> None:
         if self._collector is not None:
-            self._collector.sample(self._matrices, len(self._creators[self._top]))
+            self._collector.sample(
+                self._matrices, len(self._creators[self._top]), transient
+            )
 
 
 def compute_persistence(

@@ -46,18 +46,25 @@ class StatsCollector:
     def __init__(self):
         self._stats = RunStats()
 
-    def sample(self, matrices, top_rows: int) -> None:
+    def sample(self, matrices, top_rows: int, transient: int | None = None) -> None:
         """One sample: ``matrices[d]`` serves dimension d below the top.
 
         The top dimension stores nothing, yet each of its ``top_rows``
         live classes counts as one row, one distinct unit column and one
-        nonzero, as a stored annotation would.
+        nonzero, as a stored annotation would. A class folded into the
+        coface that kills it is never stored either; the sample at its
+        birth names its dimension as ``transient``, which counts one more
+        row, distinct unit column and nonzero there.
         """
         st = self._stats
         total_g = total_s = nnz = top_rows
         for dim, matrix in enumerate(matrices):
             g = matrix.live_row_count
             s = matrix.distinct_column_count
+            if dim == transient:
+                g += 1
+                s += 1
+                nnz += 1
             total_g += g
             total_s += s
             nnz += matrix.nonzero_count

@@ -6,6 +6,9 @@ import random
 
 from camph import SimplexTree, build_rips
 
+# the primes every engine/oracle equivalence check runs over
+EQUIVALENCE_PRIMES = (2, 3, 11, 7919)
+
 # 7-vertex torus triangulation: the two cyclic families cover each of the
 # 21 edges of K7 exactly twice.
 TORUS_TRIANGLES = [

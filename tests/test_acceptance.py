@@ -22,6 +22,7 @@ from camph import (
 from camph.cli import main as cli_main
 
 from tests.fixtures import (
+    EQUIVALENCE_PRIMES,
     canned_complexes,
     full_triangle,
     hollow_triangle,
@@ -35,7 +36,6 @@ from tests.fixtures import (
 
 DATA = Path(__file__).parent / "data"
 
-EQUIVALENCE_PRIMES = (2, 3, 11, 7919)
 INVARIANCE_PRIMES = (2, 11)
 
 

@@ -597,3 +597,132 @@ def test_kill_programs_reach_forward_chains(p, links, monkeypatch):
             max_examples=500, phases=[Phase.generate], database=None, derandomize=True
         ),
     )
+
+
+# ----------------------------------------------------------------------
+# fold against create + signed_sum + kill on a twin matrix
+#
+# A fold program replays a drawn program, reserving one row at a drawn
+# step, so that rows created later lie above it; then a new slot joins a
+# drawn list of the program's slots at a drawn position. One matrix folds
+# the new slot on the reserved row; its twin creates the slot there, sums
+# the list and kills with the sum when the sum's top row is that row.
+
+FOLD_OUTCOMES = (True, False)
+
+
+def _fold_programs(p):
+    pick = st.integers(0, 63)
+    return st.tuples(_programs(p), pick, st.lists(pick, max_size=4), pick)
+
+
+def _replay(p, program, reserve_at):
+    """The program on an audited matrix and the dense model, with one row
+    reserved before step ``reserve_at`` (modulo the program's length)."""
+    field = OpCountingField(p)
+    m = CompressedAnnotationMatrix(field, debug=True)
+    model: dict[int, dict[int, int]] = {}
+    live: list[int] = []
+    reserved = None
+    for i, (op, _) in enumerate(program):
+        if i == reserve_at % len(program):
+            reserved = m.reserve_row()
+        _apply(m, model, live, op, p)
+    return m, field, model, reserved
+
+
+def _state(m, slots):
+    return (
+        [m.find_annotation(slot) for slot in slots],
+        m.live_row_count,
+        m.distinct_column_count,
+        m.nonzero_count,
+    )
+
+
+def _run_fold(p, fold_program) -> bool:
+    """Fold on one matrix, create + signed_sum + kill on its twin; both
+    must agree with each other and with the dense model. Returns whether
+    the fold applied."""
+    program, reserve_at, picks, position = fold_program
+    m, field, model, row = _replay(p, program, reserve_at)
+    twin, twin_field, _, _ = _replay(p, program, reserve_at)
+    new = len(model)
+    faces = [i % new for i in picks]
+    faces.insert(position % (len(faces) + 1), new)
+    before, ops = _state(m, range(new)), field.ops
+    folded = m.fold(new, row, faces)
+    twin_ops = twin_field.ops
+    assert twin.create_cocycle(new, row=row) == row
+    a_bd = twin.signed_sum(faces)
+    # the new slot's unit term keeps the sum nonzero
+    assert a_bd and dict(a_bd)[row] in (1, p - 1)
+    assert folded == (a_bd[-1][0] == row)
+    if folded:
+        assert twin.kill_cocycle(a_bd) == row
+        model[new] = _dense_kill({row: 1}, a_bd, p)
+        assert field.ops - ops == twin_field.ops - twin_ops
+        assert _state(m, range(new + 1)) == _state(twin, range(new + 1))
+        assert m.find_annotation(new) == _vector(model[new])
+    else:
+        assert field.ops == ops
+        assert not m.is_assigned(new)
+        assert _state(m, range(new)) == before
+    for slot in range(new):
+        assert m.find_annotation(slot) == _vector(model[slot]), slot
+    m.check_invariants()
+    twin.check_invariants()
+    return folded
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_fold_matches_create_sum_kill(p):
+    @settings(max_examples=150, deadline=None)
+    @given(_fold_programs(p))
+    def check(fold_program):
+        _run_fold(p, fold_program)
+
+    check()
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("outcome", FOLD_OUTCOMES)
+def test_fold_programs_reach_both_outcomes(p, outcome):
+    # the drawn programs both fold and decline; find raises NoSuchExample
+    # if none of 500 draws gives this outcome
+    find(
+        _fold_programs(p),
+        lambda fold_program: _run_fold(p, fold_program) == outcome,
+        settings=settings(max_examples=500, phases=[Phase.generate], database=None),
+    )
+
+
+def test_fold_checks_its_slot_row_and_other_slots():
+    field = OpCountingField(11)
+    m = CompressedAnnotationMatrix(field, debug=True)
+    m.create_cocycle("a")
+    row = m.reserve_row()
+    with pytest.raises(SlotAlreadyAssigned):
+        m.fold("a", row, ["a"])
+    with pytest.raises(InvariantViolation):
+        m.fold("b", 0, ["b", "a"])  # row 0 is live
+    with pytest.raises(InvariantViolation):
+        m.fold("b", row + 1, ["b", "a"])  # never reserved
+    with pytest.raises(UnassignedSlot):
+        m.fold("b", row, ["a", "b", "ghost"])
+    assert field.ops == 0
+    assert not m.is_assigned("b")
+    # over Z_11: b at the odd position 1 of a - b + z, with a = (0, 1) and z
+    # zero, gives s = (0, 1) and c = -1, so b's column is s = a's column
+    m.assign_zero("z")
+    assert m.fold("b", row, ["a", "b", "z"])
+    assert m.find_annotation("b") == ((0, 1),)
+    assert m._slots["b"] is m._slots["a"]
+    assert field.ops == 4
+    # d at the even position 0 of d - z + a: s = (0, 1) and c = 1, so d
+    # gets -s = (0, 10), for 3 ops and |s| + 1 = 2 multiplications by
+    # -1/c = 10 != 1
+    assert m.fold("d", m.reserve_row(), ["d", "z", "a"])
+    assert m.find_annotation("d") == ((0, 10),)
+    assert field.ops == 4 + 3 + 2
+    assert (m.live_row_count, m.distinct_column_count, m.nonzero_count) == (1, 2, 2)

@@ -20,6 +20,7 @@ from camph import (
 from camph.errors import MissingFace, SlotAlreadyAssigned
 
 from tests.fixtures import (
+    EQUIVALENCE_PRIMES,
     canned_complexes,
     full_triangle,
     hollow_triangle,
@@ -340,6 +341,7 @@ def test_no_annotation_matrix_for_the_top_dimension(options, monkeypatch):
     init = CompressedAnnotationMatrix.__init__
     create = CompressedAnnotationMatrix.create_cocycle
     zero = CompressedAnnotationMatrix.assign_zero
+    fold = CompressedAnnotationMatrix.fold
 
     def counting_init(self, *args, **kwargs):
         built.append(self)
@@ -353,9 +355,17 @@ def test_no_annotation_matrix_for_the_top_dimension(options, monkeypatch):
         slots.append(slot)
         zero(self, slot)
 
+    def recording_fold(self, slot, row, faces):
+        # a fold assigns its slot only when it applies
+        folded = fold(self, slot, row, faces)
+        if folded:
+            slots.append(slot)
+        return folded
+
     monkeypatch.setattr(CompressedAnnotationMatrix, "__init__", counting_init)
     monkeypatch.setattr(CompressedAnnotationMatrix, "create_cocycle", recording_create)
     monkeypatch.setattr(CompressedAnnotationMatrix, "assign_zero", recording_zero)
+    monkeypatch.setattr(CompressedAnnotationMatrix, "fold", recording_fold)
     complexes = list(canned_complexes().values()) + random_rips_corpus(count=5, seed=5)
     for c in complexes:
         built.clear()
@@ -383,28 +393,27 @@ def test_top_simplex_inserted_twice_rejected(options):
 
 @pytest.mark.parametrize("options", MODES, ids=MODE_IDS)
 def test_top_killer_pairs_with_the_youngest_creator(options):
-    # the standard pairing of the mode's own insertion order, by the oracle
-    # on a copy valued by position in that order
+    # every killer, the top ones and those that a folded creator pairs with
+    # included, pairs as the standard pairing of the mode's own insertion
+    # order does: by the oracle on a copy valued by position in that order
     complexes = list(canned_complexes().values()) + random_rips_corpus(count=10, seed=7)
+    opts = EngineOptions(lazy=options.lazy, reorder=options.reorder, emit_zero_length=True)
     for c in complexes:
         sequence = _sequence(c, options)
         by_position = SimplexTree()
         for position, simplex in enumerate(sequence):
             by_position.insert_simplex(simplex, position)
         by_position.finalize()
-        expected = {
-            (q.creator, q.killer)
-            for q in oracle_reduce(by_position, F11, emit_zero_length=True)
-            if q.killer is not None and len(q.killer) - 1 == c.dimension
-        }
-        opts = EngineOptions(lazy=options.lazy, reorder=options.reorder, emit_zero_length=True)
-        d, _ = compute_persistence(c, F11, opts)
-        got = {
-            (q.creator, q.killer)
-            for q in d
-            if q.killer is not None and len(q.killer) - 1 == c.dimension
-        }
-        assert got == expected
+        for p in EQUIVALENCE_PRIMES:
+            field = PrimeField(p)
+            expected = {
+                (q.creator, q.killer)
+                for q in oracle_reduce(by_position, field, emit_zero_length=True)
+                if q.killer is not None
+            }
+            d, _ = compute_persistence(c, field, opts)
+            got = {(q.creator, q.killer) for q in d if q.killer is not None}
+            assert got == expected, (len(c), p)
 
 
 @pytest.mark.parametrize("options", MODES, ids=MODE_IDS)
@@ -435,3 +444,57 @@ def test_vertices_only_complex(options):
     assert diagram_equal(d, oracle_reduce(t, F2))
     assert (stats.g_max_total, stats.s_max_total, stats.matrix_nonzeros_peak) == (3, 3, 3)
     assert stats.g_max_by_dim == stats.s_max_by_dim == {0: 3}
+
+
+# ----------------------------------------------------------------------
+# folding a deferred creator into the coface that kills it on arrival
+
+
+@pytest.mark.parametrize("reorder", (False, True))
+def test_fold_keeps_pairs_and_run_statistics(reorder, monkeypatch):
+    # with every fold declined the engine forces each marked face, as the
+    # unfolded algorithm does; folding changes no pair, no pair's order and
+    # no counter, over every equivalence prime, with and without
+    # zero-length pairs
+    complexes = list(canned_complexes().values()) + random_rips_corpus(count=10, seed=7)
+    fold = CompressedAnnotationMatrix.fold
+    folds = []
+
+    def counting_fold(self, slot, row, faces):
+        folds.append(fold(self, slot, row, faces))
+        return folds[-1]
+
+    def runs():
+        return [
+            (list(d), stats)
+            for c in complexes
+            for p in EQUIVALENCE_PRIMES
+            for emit in (False, True)
+            for d, stats in [
+                compute_persistence(
+                    c,
+                    PrimeField(p),
+                    EngineOptions(reorder=reorder, record_stats=True, emit_zero_length=emit),
+                )
+            ]
+        ]
+
+    monkeypatch.setattr(CompressedAnnotationMatrix, "fold", counting_fold)
+    folded = runs()
+    assert True in folds and False in folds
+    monkeypatch.setattr(CompressedAnnotationMatrix, "fold", lambda *args: False)
+    assert folded == runs()
+
+
+def test_full_triangle_folds_every_deferred_creator(killed_rows):
+    # a, b, c and bc are deferred; ab forces a and folds b, ac folds c and
+    # the top simplex abc folds bc, so nothing is killed and only a's class
+    # is ever created
+    engine = PersistenceEngine(full_triangle(), F2, EngineOptions(reorder=False))
+    for simplex in full_triangle().filtration_order():
+        engine.lazy_evaluation(simplex)
+    assert killed_rows == []
+    assert engine.live_cocycle_count(0) == 1
+    assert engine.finish().multiset() == Counter(
+        {(0, 0.0, 1.0): 2, (0, 0.0, math.inf): 1, (1, 1.0, 2.0): 1}
+    )

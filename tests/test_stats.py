@@ -4,6 +4,7 @@ from collections import Counter
 from pathlib import Path
 
 from camph import (
+    CompressedAnnotationMatrix,
     EngineOptions,
     PrimeField,
     RunStats,
@@ -13,6 +14,7 @@ from camph import (
     format_stats,
 )
 from camph.field import OpCountingField
+from camph.stats import StatsCollector
 
 from tests.fixtures import canned_complexes, full_triangle, random_rips_corpus
 
@@ -124,3 +126,33 @@ def test_diagram_and_stats_bytes_match_recorded_digests():
     assert canned == recorded["canned"]
     quantized = [stats_digest(c) for c in random_rips_corpus(quantize=True)]
     assert quantized == recorded["random_rips_corpus_quantized"]
+
+
+def test_full_triangle_lazy_hand_trace():
+    # the lazy run folds b into ab, c into ac and bc into abc (see
+    # test_engine.py): only a's class is stored, yet each folded class is
+    # counted when its creation would have stored it, and the field is
+    # charged the standard trace's 13 operations in the same steps
+    #   ab: a is forced; b's birth samples rows a, b -> peak 2
+    #   ab charges 1 neg + 3 (kill: neg, div, add) = 4, ac likewise 4
+    #   bc sums two equal classes to zero (2 ops) and is deferred
+    #   abc folds bc over a zero sum: 3 ops; dimension 1 peaks at 1
+    _, stats = compute_persistence(
+        full_triangle(), F2, EngineOptions(reorder=False, record_stats=True)
+    )
+    assert stats.field_ops == 13
+    assert (stats.g_max_total, stats.s_max_total, stats.matrix_nonzeros_peak) == (2, 2, 2)
+    assert stats.g_max_by_dim == stats.s_max_by_dim == {0: 2, 1: 1, 2: 0}
+
+
+def test_transient_class_counted_in_its_dimension():
+    # dimension 0 holds one stored class; a transient class in dimension 1
+    # counts as one row, one distinct column and one nonzero there
+    below, middle = CompressedAnnotationMatrix(F2), CompressedAnnotationMatrix(F2)
+    below.create_cocycle("a")
+    collector = StatsCollector()
+    collector.sample([below, middle], top_rows=0, transient=1)
+    collector.sample([below, middle], top_rows=0)
+    stats = collector.result()
+    assert (stats.g_max_total, stats.s_max_total, stats.matrix_nonzeros_peak) == (2, 2, 2)
+    assert stats.g_max_by_dim == stats.s_max_by_dim == {0: 1, 1: 1, 2: 0}
