@@ -2,8 +2,10 @@
 
 An annotation vector assigns one Z_p coefficient to each live cocycle row;
 vectors are sorted tuples of ``(row, coefficient)`` pairs with every
-coefficient nonzero, the empty tuple being the zero vector. This module is
-the only one that reads or builds them: callers hand the matrix slots and
+coefficient nonzero, the empty tuple being the zero vector. Rows are the
+caller's seniority: it creates each class on a row above every older
+class's, so a vector's maximal row names its youngest class. This module is
+the only one that reads or builds vectors: callers hand the matrix slots and
 get back the signed boundary sum that ``kill_cocycle`` takes. One matrix per
 simplex dimension stores each distinct nonzero column exactly once and
 indexes each live row by a dict from column to its coefficient there, so
@@ -25,10 +27,10 @@ that writes row-dict entries only for the rows in the support of a_bd,
 since every other row of the column keeps its coefficient.
 
 A fold stands for a creation that a kill undoes at once. A slot created
-on reserved row r and then summed with other slots s (at sign c = +-1)
-gives s + c at row r; when every row of s is below r, the kill removes
-row r and touches only the new unit column, which becomes -c * s. The
-fold assigns the slot that column directly, never creating row r: the
+on row r and then summed with other slots s (at sign c = +-1) gives
+s + c at row r; when every row of s is below r, the kill removes row r
+and touches only the new unit column, which becomes -c * s. The fold
+assigns the slot that column directly, never creating row r: the
 annotation-matrix analogue of Ripser's apparent pairs (Bauer, arXiv
 1908.02518). It charges the field exactly what the create, the sum and
 the kill would have, so field operation counts are those of the unfolded
@@ -36,6 +38,8 @@ algorithm, and the matrix's live rows, distinct columns and nonzeros
 after it are too.
 """
 from __future__ import annotations
+
+import math
 
 from .errors import (
     InvariantViolation,
@@ -46,6 +50,9 @@ from .errors import (
 from .field import PrimeField
 
 AnnotationVector = tuple[tuple[int, int], ...]
+
+# a sentinel entry above every row, ending each column's walk in a kill
+_END = ((math.inf, 0),)
 
 
 class _Column:
@@ -71,9 +78,9 @@ class CompressedAnnotationMatrix:
     Slots are caller-chosen hashable ids (one per simplex). Each slot is
     assigned exactly once, either to a fresh unit column (creation) or to
     the shared zero column (destruction); later updates may forward a
-    column to an equal one. Row indices grow monotonically and are never
-    reused, so the maximal row of a boundary annotation is always the
-    youngest contributing cocycle.
+    column to an equal one. The caller gives each class a row above those
+    of every older class and never reuses one, so the maximal row of a
+    boundary annotation is always the youngest contributing cocycle.
     """
 
     def __init__(self, field: PrimeField, debug: bool = False):
@@ -84,7 +91,6 @@ class CompressedAnnotationMatrix:
         self._rows: dict[int, dict[_Column, int]] = {}
         self._slots: dict[object, _Column] = {}
         self._zero = _Column(())
-        self._next_row = 0
         self._nnz = 0
 
     # ------------------------------------------------------------------
@@ -109,45 +115,23 @@ class CompressedAnnotationMatrix:
     # ------------------------------------------------------------------
     # operations
 
-    def reserve_row(self) -> int:
-        """Claim the next row index without materializing a column.
+    def create_cocycle(self, slot, row: int) -> None:
+        """Start a new cocycle class for ``slot`` on ``row``.
 
-        Lets a caller that defers insertions pin each cocycle's seniority
-        at its original filtration position: row order, which drives the
-        destruction rule, then reflects filtration age even when columns
-        materialize late.
-        """
-        row = self._next_row
-        self._next_row += 1
-        return row
-
-    def create_cocycle(self, slot, row: int | None = None) -> int:
-        """Start a new cocycle class for ``slot``; returns its row.
-
-        Allocates a fresh row unless a previously reserved one is given.
-        All other columns keep an implicit zero in the new row, so the
-        sparse store needs no padding.
+        ``row`` is the class's seniority and must not be live. All other
+        columns keep an implicit zero in the new row, so the sparse store
+        needs no padding.
         """
         self._check_free(slot)
-        if row is None:
-            row = self.reserve_row()
-        elif row >= self._next_row or row in self._rows:
-            raise InvariantViolation(f"row {row} was not reserved or is live")
-        column = _Column(((row, 1),))
-        self._rows[row] = {column: 1}
-        self._columns[column.key] = column
-        self._nnz += 1
-        self._slots[slot] = column
-        if self._debug:
-            self.check_invariants()
-        return row
+        if row in self._rows:
+            raise InvariantViolation(f"row {row} is live")
+        self._rows[row] = {}
+        self._assign(slot, ((row, 1),))
 
     def assign_zero(self, slot) -> None:
         """Give ``slot`` the zero annotation: the shared zero column."""
         self._check_free(slot)
-        self._slots[slot] = self._zero
-        if self._debug:
-            self.check_invariants()
+        self._assign(slot, ())
 
     def find_annotation(self, slot) -> AnnotationVector:
         """Vector of the column the slot points at, after any forwards."""
@@ -177,8 +161,8 @@ class CompressedAnnotationMatrix:
         return vec
 
     def fold(self, slot, row, slots) -> bool:
-        """Create and at once destroy the class of ``slot`` on reserved
-        ``row``, if the coface with boundary ``slots`` would kill it.
+        """Create and at once destroy the class of ``slot`` on ``row``, if
+        the coface with boundary ``slots`` would kill it.
 
         ``slot`` is one of ``slots`` and has no annotation yet; s is the
         signed sum of the others, in their positions, and c the sign of
@@ -197,8 +181,8 @@ class CompressedAnnotationMatrix:
         annotation.
         """
         self._check_free(slot)
-        if row >= self._next_row or row in self._rows:
-            raise InvariantViolation(f"row {row} was not reserved or is live")
+        if row in self._rows:
+            raise InvariantViolation(f"row {row} is live")
         vec, ops = self._sum(slots, slot)
         if vec and vec[-1][0] > row:
             return False
@@ -212,18 +196,7 @@ class CompressedAnnotationMatrix:
             ops += 4 + len(vec)
             vec = tuple([(r, p - c) for r, c in vec])
         self._field.charge(ops)
-        if not vec:
-            self._slots[slot] = self._zero
-        elif vec in self._columns:
-            self._slots[slot] = self._columns[vec]
-        else:
-            column = self._slots[slot] = self._columns[vec] = _Column(vec)
-            rows = self._rows
-            for r, c in vec:
-                rows[r][column] = c
-            self._nnz += len(vec)
-        if self._debug:
-            self.check_invariants()
+        self._assign(slot, vec)
         return True
 
     def kill_cocycle(self, boundary_annotation: AnnotationVector) -> int:
@@ -244,9 +217,11 @@ class CompressedAnnotationMatrix:
         if not a_bd:
             raise ZeroAnnotation("cannot destroy with the zero annotation")
         rows = self._rows
-        for row, _ in a_bd:
-            if row not in rows:
-                raise InvariantViolation(f"row {row} is not live")
+        try:
+            bd = [(row, a, rows[row]) for row, a in a_bd]
+        except KeyError as exc:
+            raise InvariantViolation(f"row {exc.args[0]} is not live") from None
+        n_bd = len(bd)
         row_j, c_j = a_bd[-1]
         p = self._field.p
         inv = pow(c_j, -1, p)
@@ -254,18 +229,14 @@ class CompressedAnnotationMatrix:
         # the row operation is simultaneous: every touched column leaves the
         # key index before any new key is looked up, so a new key collides
         # only with an untouched column or one already rewritten here
-        touched = list(rows[row_j].items())
+        touched = list(bd[-1][2].items())
         for column, _ in touched:
             del columns[column.key]
-        bd = [(row, a, rows[row]) for row, a in a_bd]
-        n_bd = len(bd)
-        # a sentinel entry above every live row ends each column's walk
-        end = ((self._next_row, 0),)
         ops = 0
         for column, f in touched:
             lam = (p - f) * inv % p
             key = column.key
-            ext = key + end
+            ext = key + _END
             out = []
             append = out.append
             shared = i = 0
@@ -318,6 +289,23 @@ class CompressedAnnotationMatrix:
     def _check_free(self, slot) -> None:
         if slot in self._slots:
             raise SlotAlreadyAssigned(f"slot {slot!r} is already assigned")
+
+    def _assign(self, slot, vec: AnnotationVector) -> None:
+        # point the free slot at vec's column: the zero column, the stored
+        # column equal to vec, or a new stored column entered in vec's rows
+        if not vec:
+            column = self._zero
+        elif vec in self._columns:
+            column = self._columns[vec]
+        else:
+            column = self._columns[vec] = _Column(vec)
+            rows = self._rows
+            for r, c in vec:
+                rows[r][column] = c
+            self._nnz += len(vec)
+        self._slots[slot] = column
+        if self._debug:
+            self.check_invariants()
 
     def _sum(self, slots, held=None) -> tuple[AnnotationVector, int]:
         # signed_sum's vector and the field operations it makes, uncharged;
@@ -378,8 +366,6 @@ class CompressedAnnotationMatrix:
         p = self._field.p
         indexed = 0
         for row, entries in self._rows.items():
-            if row >= self._next_row:
-                raise InvariantViolation(f"live row {row} above the allocator")
             if not entries:
                 raise InvariantViolation(f"live row {row} is empty")
             for column, coeff in entries.items():

@@ -18,12 +18,18 @@ is the top-dimensional case of clearing (Bauer, Kerber & Reininghaus,
 each live top class as one row, column and nonzero, at the moment its
 creation would have stored them.
 
+Each arriving simplex takes the next number of one counter as its row, and
+a creator's class lives on that row whether it is created at once,
+deferred and created later, or folded. Row order is thus arrival order,
+the seniority by which a boundary sum's maximal row names its youngest
+class.
+
 Two insertion-order strategies are available: deferring each creator
 until one of its cofaces arrives, and reordering equal-value blocks; both
 leave the diagram unchanged.
 
 A deferred creator is most often killed by the very coface that forces
-it. The coface's youngest marked face sigma, on reserved row r, is
+it. The coface's youngest marked face sigma, on row r, is
 therefore folded into it when the signed sum s of the coface's other faces
 is zero or has every row below r: forcing sigma would create a class on r
 that the coface kills at once, touching only sigma's unit column, which
@@ -38,6 +44,7 @@ algorithm.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -91,12 +98,12 @@ class PersistenceEngine:
             CompressedAnnotationMatrix(field, debug=self.options.debug)
             for _ in range(top)
         ]
-        # per dimension: live row -> creator key; a top creator's row is
-        # its own key
+        # per dimension: live row -> creator key
         self._creators: list[dict[int, int]] = [{} for _ in range(top + 1)]
         self._top_inserted: set[int] = set()
         self._pairs: list[PersistencePair] = []
-        self._marked: dict[int, int] = {}  # key -> reserved row
+        self._arrivals = itertools.count()  # the next arriving simplex's row
+        self._marked: dict[int, int] = {}  # deferred key -> its arrival row
         self._marked_keys = self._marked.keys()  # a live view, kept for isdisjoint
         self._finished = False
         self._collector = StatsCollector() if self.options.record_stats else None
@@ -115,13 +122,12 @@ class PersistenceEngine:
         boundary sum. Otherwise a nonzero boundary sum destroys as usual
         while a zero sum only marks the simplex and defers it.
 
-        Marking reserves the simplex's row index immediately, so a
-        deferred class keeps the seniority of its original filtration
-        position however late its column materializes. Without this, two
-        deferred creators whose first cofaces arrive in opposite order
-        would swap ages, and the destruction rule (remove the
-        maximal-index row) would pair them differently than the standard
-        insertion order does, changing the diagram.
+        A marked simplex keeps the row it got on arrival, so its class has
+        the seniority of its arrival position however late its column
+        materializes. Otherwise two deferred creators whose first cofaces
+        arrive in opposite order would swap ages, and the destruction rule
+        (remove the maximal row) would pair them differently than the
+        standard insertion order does, changing the diagram.
         """
         self._insert(self.complex.key(simplex), defer=True)
 
@@ -139,10 +145,9 @@ class PersistenceEngine:
         marked.clear()
         # zero-length pairs were dropped as they were recorded; values are
         # finite, so no essential pair has zero length
-        pairs = list(self._pairs)
+        pairs = self._pairs
         for dim, rows in enumerate(self._creators):
-            for row in sorted(rows):
-                creator = rows[row]
+            for creator in rows.values():
                 simplex, birth = self._simplex_of[creator], self._value_of[creator]
                 pairs.append(PersistencePair(dim, birth, math.inf, simplex))
         return PersistenceDiagram(pairs)
@@ -167,11 +172,11 @@ class PersistenceEngine:
     def _insert(self, key: int, defer: bool) -> None:
         """The one insertion core behind insert() and lazy_evaluation().
 
-        A marked simplex goes in as a creator on its reserved row. Any
-        other simplex first forces its marked faces in, oldest reserved row
-        first, so the two entry points can be mixed freely; one C-level
-        disjointness test finds that most simplices have none. The face
-        with the youngest reserved row r is held back: if the signed sum of
+        A marked simplex goes in as a creator on its arrival row. Any
+        other simplex takes the next row and first forces its marked faces
+        in, oldest row first, so the two entry points can be mixed freely;
+        one C-level disjointness test finds that most simplices have none.
+        The face with the youngest row r is held back: if the signed sum of
         the other faces is zero or lies below r, that face is folded into
         the simplex, which then goes in as its killer (see ``_fold``), and
         only otherwise is it forced too. A zero boundary sum then marks the
@@ -186,6 +191,7 @@ class PersistenceEngine:
             self._insert_creator(key, row)
             self._sample()
             return
+        row = next(self._arrivals)
         faces = self._faces_of[key]
         if not self._marked_keys.isdisjoint(faces):
             deferred = [face for face in faces if face in marked]
@@ -207,18 +213,18 @@ class PersistenceEngine:
             )
         if not a_bd:
             if defer:
-                marked[key] = key if top else self._matrices[dim].reserve_row()
+                marked[key] = row
                 return
-            self._insert_creator(key)
+            self._insert_creator(key, row)
         else:
-            row = self._matrices[dim - 1].kill_cocycle(a_bd)
-            self._insert_killer(key, dim, self._creators[dim - 1].pop(row))
+            killed = self._matrices[dim - 1].kill_cocycle(a_bd)
+            self._insert_killer(key, dim, self._creators[dim - 1].pop(killed))
         self._sample()
 
     def _fold(self, key: int, face: int, faces: tuple) -> bool:
         """Create marked ``face`` and let ``key`` kill it, in one step.
 
-        ``face`` holds the youngest reserved row of ``key``'s marked faces,
+        ``face`` holds the youngest row of ``key``'s marked faces,
         and the others are in. When no other face's annotation reaches a
         row above ``face``'s, forcing ``face`` would create a class that
         ``key`` kills at once; the matrix then gives ``face`` the column
@@ -270,14 +276,13 @@ class PersistenceEngine:
                 "was never inserted"
             ) from None
 
-    def _insert_creator(self, key: int, row: int | None = None) -> None:
+    def _insert_creator(self, key: int, row: int) -> None:
         dim = self._dim_of[key]
         if dim == self._top:
             # never a face, so its annotation is never read: only counted
             self._top_inserted.add(key)
-            row = key
         else:
-            row = self._matrices[dim].create_cocycle(key, row=row)
+            self._matrices[dim].create_cocycle(key, row)
         self._creators[dim][row] = key
 
     def _sample(self, transient: int | None = None) -> None:
@@ -303,7 +308,7 @@ def compute_persistence(
     if opts.reorder:
         sequence = reordered_filtration(complex)
     else:
-        sequence = complex.filtration_order()
+        sequence = complex.simplex_of
     step = engine.lazy_evaluation if opts.lazy else engine.insert
     for simplex in sequence:
         step(simplex)

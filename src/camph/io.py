@@ -82,8 +82,8 @@ def read_filtration(path) -> SimplexTree:
 
 
 def format_diagram(diagram: PersistenceDiagram) -> str:
-    """Canonical text rendering, sorted by (dim, birth, death)."""
-    triples = sorted(diagram.triples())
-    lines = [f"{dim} {float(birth)!r} {float(death)!r}" for dim, birth, death in triples]
+    """Canonical text rendering, in the diagram's (dim, birth, death) order."""
+    pairs = diagram.pairs
+    lines = [f"{dim} {float(birth)!r} {float(death)!r}" for dim, birth, death, _, _ in pairs]
     return "\n".join(lines) + ("\n" if lines else "")
 

@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import count
 
 import pytest
 from hypothesis import Phase, find, given, settings
@@ -31,9 +32,10 @@ def _holding(field, vectors, rows=13):
     """
     m = CompressedAnnotationMatrix(field, debug=True)
     for row in range(rows):
-        m.create_cocycle(("unit", row))
+        m.create_cocycle(("unit", row), row)
     for slot, v in enumerate(vectors):
-        row = m.create_cocycle(slot)
+        row = rows + slot
+        m.create_cocycle(slot, row)
         m.kill_cocycle(tuple(v) + ((row, field.p - 1),))
     return m
 
@@ -71,7 +73,7 @@ def test_scale_examples():
     for c, scaled in ((5, ((0, 6), (5, 1))), (10, a)):
         m = CompressedAnnotationMatrix(F11, debug=True)
         for slot in range(7):
-            m.create_cocycle(slot)
+            m.create_cocycle(slot, slot)
         assert m.kill_cocycle(a + ((6, c),)) == 6
         assert m.find_annotation(6) == scaled
 
@@ -132,23 +134,30 @@ def test_negation_is_additive_inverse(a):
 # compressed matrix
 
 
-def test_create_cocycle_allocates_monotone_rows():
+def test_create_cocycle_uses_the_given_row():
+    # rows are the caller's seniority: a class goes on the row it is given,
+    # gaps and all, and a live row is refused with no change
     m = CompressedAnnotationMatrix(F2, debug=True)
-    assert m.create_cocycle("a") == 0
-    assert m.find_annotation("a") == ((0, 1),)
+    m.create_cocycle("a", 5)
+    assert m.find_annotation("a") == ((5, 1),)
     assert m.live_row_count == 1
-    assert m.create_cocycle("b") == 1
+    m.create_cocycle("b", 8)
+    assert m.find_annotation("b") == ((8, 1),)
     assert m.live_row_count == 2
-    m.kill_cocycle(((0, 1),))
-    assert m.create_cocycle("c") == 2  # index 0 is never reused
-    assert m.reserve_row() == 3
+    with pytest.raises(InvariantViolation):
+        m.create_cocycle("c", 5)
+    assert not m.is_assigned("c")
+    assert (m.live_row_count, m.distinct_column_count, m.nonzero_count) == (2, 2, 2)
+    # the maximal row names the youngest class
+    assert m.kill_cocycle(((5, 1), (8, 1))) == 8
+    assert m.find_annotation("b") == ((5, 1),)
 
 
 def test_create_rejects_assigned_slot():
     m = CompressedAnnotationMatrix(F2)
-    m.create_cocycle("a")
+    m.create_cocycle("a", 0)
     with pytest.raises(SlotAlreadyAssigned):
-        m.create_cocycle("a")
+        m.create_cocycle("a", 1)
     with pytest.raises(SlotAlreadyAssigned):
         m.assign_zero("a")
 
@@ -170,7 +179,7 @@ def test_assign_zero_single_class():
 
 def test_kill_zeroes_single_column():
     m = CompressedAnnotationMatrix(F2, debug=True)
-    m.create_cocycle("a")
+    m.create_cocycle("a", 0)
     assert m.kill_cocycle(((0, 1),)) == 0
     assert m.live_row_count == 0
     assert m.distinct_column_count == 0
@@ -179,16 +188,29 @@ def test_kill_zeroes_single_column():
 
 def test_kill_rejects_zero_annotation():
     m = CompressedAnnotationMatrix(F2)
-    m.create_cocycle("a")
+    m.create_cocycle("a", 0)
     with pytest.raises(ZeroAnnotation):
         m.kill_cocycle(())
+
+
+def test_kill_rejects_a_dead_row_before_any_change():
+    # row 1 of a_bd is not live; the kill's row 2 holds "c", untouched
+    m = CompressedAnnotationMatrix(F11, debug=True)
+    m.create_cocycle("a", 0)
+    m.create_cocycle("c", 2)
+    for a_bd, dead in ((((1, 3), (2, 4)), 1), (((0, 1), (1, 3)), 1), (((2, 1), (3, 1)), 3)):
+        with pytest.raises(InvariantViolation, match=f"^row {dead} is not live$"):
+            m.kill_cocycle(a_bd)
+        assert [m.find_annotation(s) for s in "ac"] == [((0, 1),), ((2, 1),)]
+        assert (m.live_row_count, m.distinct_column_count, m.nonzero_count) == (2, 2, 2)
+        m.check_invariants()
 
 
 def test_kill_merges_colliding_columns_z2():
     # two unit columns; destroying the younger folds it onto the older
     m = CompressedAnnotationMatrix(F2, debug=True)
-    m.create_cocycle("a")
-    m.create_cocycle("b")
+    m.create_cocycle("a", 0)
+    m.create_cocycle("b", 1)
     assert m.kill_cocycle(((0, 1), (1, 1))) == 1
     assert m.find_annotation("a") == ((0, 1),)
     assert m.find_annotation("b") == ((0, 1),)
@@ -201,9 +223,9 @@ def test_kill_updates_multi_entry_column_z2():
     # then destroy row 1: the mixed column folds onto [(0,1)], the unit
     # column at row 1 becomes zero
     m = CompressedAnnotationMatrix(F2, debug=True)
-    m.create_cocycle("a")
-    m.create_cocycle("b")
-    m.create_cocycle("c")
+    m.create_cocycle("a", 0)
+    m.create_cocycle("b", 1)
+    m.create_cocycle("c", 2)
     m.kill_cocycle(((0, 1), (1, 1), (2, 1)))  # column of "c" -> [(0,1),(1,1)]
     assert m.find_annotation("c") == ((0, 1), (1, 1))
     assert m.distinct_column_count == 3
@@ -219,8 +241,8 @@ def test_forward_chain_followed_and_compressed():
     # with no lookup between the kills, b's column forwards to a's, a's to
     # x's and x's to w's: b reaches w's column over three forwards
     m = CompressedAnnotationMatrix(F2, debug=True)
-    for slot in "wxab":
-        m.create_cocycle(slot)
+    for row, slot in enumerate("wxab"):
+        m.create_cocycle(slot, row)
     m.kill_cocycle(((2, 1), (3, 1)))  # b's column becomes a's
     m.kill_cocycle(((1, 1), (2, 1)))  # a's column becomes x's
     m.kill_cocycle(((0, 1), (1, 1)))  # x's column becomes w's
@@ -236,8 +258,8 @@ def test_kill_arithmetic_z11():
     # a_bd = [(0,3),(1,4)]: lambda = -1/4 = 8, so A becomes
     # [(0, 3*8 mod 11)] = [(0,2)]  (brute-force mod-11 arithmetic)
     m = CompressedAnnotationMatrix(F11, debug=True)
-    m.create_cocycle("a")
-    m.create_cocycle("b")
+    m.create_cocycle("a", 0)
+    m.create_cocycle("b", 1)
     assert m.kill_cocycle(((0, 3), (1, 4))) == 1
     assert m.find_annotation("b") == ((0, 2),)
     assert m.find_annotation("a") == ((0, 1),)
@@ -250,8 +272,8 @@ def test_kill_scaling_z11_matches_scalar_oracle():
     # arithmetic: -5/4 = 6 * inv(4) = 6*3 = 18 = 7; 3*7 = 21 = 10;
     # 5 + 4*7 = 33 = 0
     m = CompressedAnnotationMatrix(F11, debug=True)
-    for slot in "abcd":
-        m.create_cocycle(slot)
+    for row, slot in enumerate("abcd"):
+        m.create_cocycle(slot, row)
     # d = [(3,1)] receives -1 * [(2,6),(3,1)]: A = [(2,5)]
     assert m.kill_cocycle(((2, 6), (3, 1))) == 3
     assert m.find_annotation("d") == ((2, 5),)
@@ -267,8 +289,8 @@ def test_kill_field_ops_z11_hand_trace():
     # lambda != 1, and one add per row the column shares with a_bd
     field = OpCountingField(11)
     m = CompressedAnnotationMatrix(field, debug=True)
-    for slot in "abc":
-        m.create_cocycle(slot)
+    for row, slot in enumerate("abc"):
+        m.create_cocycle(slot, row)
     # c = [(2,1)] receives -1 * a_bd: c = [(0,10),(1,10)]
     m.kill_cocycle(((0, 1), (1, 1), (2, 1)))
     assert m.find_annotation("c") == ((0, 10), (1, 10))
@@ -288,7 +310,7 @@ def test_row_rings_empty_after_kill():
     # after destroying row j no live column retains an entry there
     m = CompressedAnnotationMatrix(F11, debug=True)
     for slot in range(4):
-        m.create_cocycle(slot)
+        m.create_cocycle(slot, slot)
     m.kill_cocycle(((0, 2), (1, 5), (3, 7)))
     for slot in range(4):
         assert all(row != 3 for row, _ in m.find_annotation(slot))
@@ -324,8 +346,8 @@ def _point_at_unindexed_column(m):
 def test_audit_catches_corruption(corrupt):
     # row 0 holds two columns, ((0, 1),) and ((0, 2),); row 2 holds one
     m = CompressedAnnotationMatrix(F11, debug=True)
-    for slot in "abc":
-        m.create_cocycle(slot)
+    for row, slot in enumerate("abc"):
+        m.create_cocycle(slot, row)
     m.kill_cocycle(((0, 3), (1, 4)))
     assert len(m._rows[0]) == 2
     m.check_invariants()
@@ -430,9 +452,10 @@ def _run_program(p, program) -> set[str]:
     m = CompressedAnnotationMatrix(field, debug=True)
     model: dict[int, dict[int, int]] = {}
     live: list[int] = []
+    rows = count()
     paths: set[str] = set()
     for op, terms in program:
-        paths |= _apply(m, model, live, op, p)
+        paths |= _apply(m, model, live, rows, op, p)
         slots = [i % len(model) for i in terms]
         # only the drawn slots are looked up, so the forwarding chains of
         # the others grow uncompressed until the final check
@@ -447,8 +470,9 @@ def _run_program(p, program) -> set[str]:
     return paths
 
 
-def _apply(m, model, live, op, p) -> set[str]:
-    """One operation of a program; returns the update paths a kill hit."""
+def _apply(m, model, live, rows, op, p) -> set[str]:
+    """One operation of a program; returns the update paths a kill hit. A
+    creation takes the next row of ``rows``, an increasing counter."""
     kind, *args = op
     nonzero = [x for x in model.values() if x]
     if kind == "random" and live:
@@ -468,7 +492,8 @@ def _apply(m, model, live, op, p) -> set[str]:
         model[len(model)] = {}
         return set()
     else:
-        live.append(m.create_cocycle(len(model)))
+        live.append(next(rows))
+        m.create_cocycle(len(model), live[-1])
         model[len(model)] = {live[-1]: 1}
         return set()
     a_bd = _vector({row: c % p for row, c in a.items()})
@@ -547,7 +572,8 @@ def test_signed_sum_follows_and_compresses_forwards(p):
     m = CompressedAnnotationMatrix(field, debug=True)
     model = {}
     for slot in range(6):
-        model[slot] = {m.create_cocycle(slot): 1}
+        m.create_cocycle(slot, slot)
+        model[slot] = {slot: 1}
     m.assign_zero(6)
     model[6] = {}
     for i in (3, 2, 1, 0):
@@ -602,10 +628,10 @@ def test_kill_programs_reach_forward_chains(p, links, monkeypatch):
 # ----------------------------------------------------------------------
 # fold against create + signed_sum + kill on a twin matrix
 #
-# A fold program replays a drawn program, reserving one row at a drawn
+# A fold program replays a drawn program, setting one row aside at a drawn
 # step, so that rows created later lie above it; then a new slot joins a
 # drawn list of the program's slots at a drawn position. One matrix folds
-# the new slot on the reserved row; its twin creates the slot there, sums
+# the new slot on the row set aside; its twin creates the slot there, sums
 # the list and kills with the sum when the sum's top row is that row.
 
 FOLD_OUTCOMES = (True, False)
@@ -617,17 +643,19 @@ def _fold_programs(p):
 
 
 def _replay(p, program, reserve_at):
-    """The program on an audited matrix and the dense model, with one row
-    reserved before step ``reserve_at`` (modulo the program's length)."""
+    """The program on an audited matrix and the dense model, with the row
+    that a creation before step ``reserve_at`` (modulo the program's length)
+    would take set aside, unused."""
     field = OpCountingField(p)
     m = CompressedAnnotationMatrix(field, debug=True)
     model: dict[int, dict[int, int]] = {}
     live: list[int] = []
+    rows = count()
     reserved = None
     for i, (op, _) in enumerate(program):
         if i == reserve_at % len(program):
-            reserved = m.reserve_row()
-        _apply(m, model, live, op, p)
+            reserved = next(rows)
+        _apply(m, model, live, rows, op, p)
     return m, field, model, reserved
 
 
@@ -653,7 +681,7 @@ def _run_fold(p, fold_program) -> bool:
     before, ops = _state(m, range(new)), field.ops
     folded = m.fold(new, row, faces)
     twin_ops = twin_field.ops
-    assert twin.create_cocycle(new, row=row) == row
+    twin.create_cocycle(new, row)
     a_bd = twin.signed_sum(faces)
     # the new slot's unit term keeps the sum nonzero
     assert a_bd and dict(a_bd)[row] in (1, p - 1)
@@ -700,14 +728,12 @@ def test_fold_programs_reach_both_outcomes(p, outcome):
 def test_fold_checks_its_slot_row_and_other_slots():
     field = OpCountingField(11)
     m = CompressedAnnotationMatrix(field, debug=True)
-    m.create_cocycle("a")
-    row = m.reserve_row()
+    m.create_cocycle("a", 0)
+    row = 1
     with pytest.raises(SlotAlreadyAssigned):
         m.fold("a", row, ["a"])
     with pytest.raises(InvariantViolation):
         m.fold("b", 0, ["b", "a"])  # row 0 is live
-    with pytest.raises(InvariantViolation):
-        m.fold("b", row + 1, ["b", "a"])  # never reserved
     with pytest.raises(UnassignedSlot):
         m.fold("b", row, ["a", "b", "ghost"])
     assert field.ops == 0
@@ -722,7 +748,7 @@ def test_fold_checks_its_slot_row_and_other_slots():
     # d at the even position 0 of d - z + a: s = (0, 1) and c = 1, so d
     # gets -s = (0, 10), for 3 ops and |s| + 1 = 2 multiplications by
     # -1/c = 10 != 1
-    assert m.fold("d", m.reserve_row(), ["d", "z", "a"])
+    assert m.fold("d", 2, ["d", "z", "a"])
     assert m.find_annotation("d") == ((0, 10),)
     assert field.ops == 4 + 3 + 2
     assert (m.live_row_count, m.distinct_column_count, m.nonzero_count) == (1, 2, 2)

@@ -347,9 +347,9 @@ def test_no_annotation_matrix_for_the_top_dimension(options, monkeypatch):
         built.append(self)
         init(self, *args, **kwargs)
 
-    def recording_create(self, slot, row=None):
+    def recording_create(self, slot, row):
         slots.append(slot)
-        return create(self, slot, row=row)
+        create(self, slot, row)
 
     def recording_zero(self, slot):
         slots.append(slot)

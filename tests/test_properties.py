@@ -181,26 +181,39 @@ def _shuffled_block(tree, lo, hi, data):
     return out
 
 
+def _killed_pairs(diagram) -> set:
+    return {(q.creator, q.killer) for q in diagram if q.killer is not None}
+
+
 @settings(max_examples=40, deadline=None)
 @given(closed_filtrations(), st.data())
 def test_diagram_unchanged_under_block_permutation(values, data):
     # one block goes in as a random face-respecting permutation; the other
-    # blocks go in as their slice of the order the mode uses
+    # blocks go in as their slice of the order the mode uses. Zero-length
+    # pairs are kept, and every killer pairs as the standard pairing of the
+    # fed sequence does: by the oracle on a copy valued by position in it
     tree = tree_of(values)
     blocks = list(_key_ranges(tree))
     chosen = data.draw(st.sampled_from(range(len(blocks))))
     shuffled = _shuffled_block(tree, *blocks[chosen], data)
     orders = {False: tree.filtration_order(), True: reordered_filtration(tree)}
-    for p in PRIMES:
-        field = PrimeField(p)
-        for options in MODES:
+    for mode in MODES:
+        options = EngineOptions(lazy=mode.lazy, reorder=mode.reorder, emit_zero_length=True)
+        order = orders[options.reorder]
+        fed = [
+            simplex
+            for index, (lo, hi) in enumerate(blocks)
+            for simplex in (shuffled if index == chosen else order[lo:hi])
+        ]
+        by_position = tree_of({simplex: position for position, simplex in enumerate(fed)})
+        for p in PRIMES:
+            field = PrimeField(p)
             expected, _ = compute_persistence(tree, field, options)
             engine = PersistenceEngine(tree, field, options)
             step = engine.lazy_evaluation if options.lazy else engine.insert
-            order = orders[options.reorder]
-            for index, (lo, hi) in enumerate(blocks):
-                sequence = shuffled if index == chosen else order[lo:hi]
-                for simplex in sequence:
-                    step(simplex)
+            for simplex in fed:
+                step(simplex)
             diagram = engine.finish()
             assert diagram.triples() == expected.triples(), (p, options)
+            standard = oracle_reduce(by_position, field, emit_zero_length=True)
+            assert _killed_pairs(diagram) == _killed_pairs(standard), (p, options)

@@ -1,11 +1,13 @@
 """The package exports exactly what the README's Library section documents,
-and declares no error type that it never raises."""
+the README's code runs, and no error type is declared that nothing raises."""
 import ast
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import camph
 from camph import errors
@@ -27,6 +29,35 @@ def test_every_exported_name_imports_and_is_documented():
         assert name in namespace, name
         assert name in documented, f"{name} is exported but not in README"
     assert len(set(camph.__all__)) == len(camph.__all__)
+
+
+def test_readme_python_block_runs():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
+
+
+def _listed_methods(section: str, owner: str) -> list[str]:
+    """The backticked names in the parentheses that follow the first
+    mention of ``owner``, nested parentheses included."""
+    start = section.index("(", section.index(f"`{owner}`"))
+    depth = 0
+    for end in range(start, len(section)):
+        depth += {"(": 1, ")": -1}.get(section[end], 0)
+        if not depth:
+            break
+    return re.findall(r"`(\w+)", section[start:end])
+
+
+@pytest.mark.parametrize(
+    "owner", [camph.CompressedAnnotationMatrix, camph.PersistenceEngine]
+)
+def test_readme_names_only_methods_that_exist(owner):
+    names = _listed_methods(_library_section(), owner.__name__)
+    assert len(names) >= 4, names
+    for name in names:
+        assert callable(getattr(owner, name, None)), f"{owner.__name__}.{name}"
 
 
 def test_import_loads_no_numpy():

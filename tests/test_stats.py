@@ -149,7 +149,7 @@ def test_transient_class_counted_in_its_dimension():
     # dimension 0 holds one stored class; a transient class in dimension 1
     # counts as one row, one distinct column and one nonzero there
     below, middle = CompressedAnnotationMatrix(F2), CompressedAnnotationMatrix(F2)
-    below.create_cocycle("a")
+    below.create_cocycle("a", 0)
     collector = StatsCollector()
     collector.sample([below, middle], top_rows=0, transient=1)
     collector.sample([below, middle], top_rows=0)
