@@ -7,14 +7,14 @@ caller's seniority: it creates each class on a row above every older
 class's, so a vector's maximal row names its youngest class. This module is
 the only one that reads or builds vectors: callers hand the matrix slots and
 get back the signed boundary sum that ``kill_cocycle`` takes. One matrix per
-simplex dimension stores each distinct nonzero column exactly once and
-indexes each live row by a dict from column to its coefficient there, so
-that destroying a cocycle touches only the columns that actually meet its
-row (the paper's doubly linked row lists, with the same O(1) insert and
-delete). Each slot points straight at a column; killers share one zero
-column. A column that becomes equal to a stored one forwards to it, so the
-forwarding pointers form a union-find forest over columns, walked with path
-compression.
+simplex dimension stores each distinct nonzero column exactly once, with
+each coefficient only in the column's key, and indexes each live row by
+the columns with an entry there, so that destroying a cocycle touches only
+the columns that actually meet its row (the paper's doubly linked row
+lists, with the same O(1) insert and delete). Each slot points straight at
+a column; killers share one zero column. A column that becomes equal to a
+stored one forwards to it, so the forwarding pointers form a union-find
+forest over columns, walked with path compression.
 
 A signed boundary sum reads each face's column straight from the slot map,
 and a sum with at most one nonzero term is that term, negated at an odd
@@ -22,9 +22,9 @@ position, with no accumulation: on flag complexes most face annotations
 are zero, so this is the common case.
 
 Destroying a cocycle with boundary annotation a_bd costs one modular
-inverse, then O(|column| + |a_bd|) per touched column: one merge pass
-that writes row-dict entries only for the rows in the support of a_bd,
-since every other row of the column keeps its coefficient.
+inverse, then O(|column| + |a_bd|) per touched column: one merge pass over
+the rows in the support of a_bd, which changes the row index only where an
+entry appears or cancels.
 
 A fold stands for a creation that a kill undoes at once. A slot created
 on row r and then summed with other slots s (at sign c = +-1) gives
@@ -40,6 +40,7 @@ after it are too.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 
 from .errors import (
     InvariantViolation,
@@ -87,8 +88,9 @@ class CompressedAnnotationMatrix:
         self._field = field
         self._debug = debug
         self._columns: dict[AnnotationVector, _Column] = {}
-        # live row -> {column: its nonzero coefficient in that row}
-        self._rows: dict[int, dict[_Column, int]] = {}
+        # live row -> the columns with a nonzero there, in the insertion order
+        # that decides which of two colliding columns survives a kill
+        self._rows: dict[int, dict[_Column, None]] = {}
         self._slots: dict[object, _Column] = {}
         self._zero = _Column(())
         self._nnz = 0
@@ -206,7 +208,8 @@ class CompressedAnnotationMatrix:
         holding f != 0 in row j receives ``-f/c`` times the argument, which
         zeroes row j everywhere at once; a column that cancels takes the
         zero key, and one that collides with a stored column forwards to
-        it. Returns j.
+        it. Returns j. Each f is read from the column's key, its only copy;
+        the row index changes only where an entry appears or cancels.
 
         The arithmetic is done inline; the field is charged the operations
         of the update: per touched column a negation and a division for
@@ -229,20 +232,20 @@ class CompressedAnnotationMatrix:
         # the row operation is simultaneous: every touched column leaves the
         # key index before any new key is looked up, so a new key collides
         # only with an untouched column or one already rewritten here
-        touched = list(bd[-1][2].items())
-        for column, _ in touched:
+        touched = list(bd[-1][2])
+        for column in touched:
             del columns[column.key]
         ops = 0
-        for column, f in touched:
-            lam = (p - f) * inv % p
+        for column in touched:
             key = column.key
+            lam = (p - key[bisect_left(key, (row_j,))][1]) * inv % p
             ext = key + _END
             out = []
             append = out.append
             shared = i = 0
             kr, kc = ext[0]
-            # merge key with lam * a_bd; only rows of a_bd change, so only
-            # their row dicts are written
+            # merge key with lam * a_bd; only rows of a_bd change, and only
+            # an entry that appears or cancels changes its row's membership
             for row, a, entries in bd:
                 while kr < row:
                     append((kr, kc))
@@ -255,13 +258,11 @@ class CompressedAnnotationMatrix:
                     kr, kc = ext[i]
                     if x:
                         append((row, x))
-                        entries[column] = x
                     else:
                         del entries[column]
                 else:
-                    x = lam * a % p
-                    append((row, x))
-                    entries[column] = x
+                    append((row, lam * a % p))
+                    entries[column] = None
             # the field operations of -f/c, of scaling a_bd by lam != 1 and of
             # one addition per shared row
             ops += 2 + shared + (n_bd if lam != 1 else 0)
@@ -299,9 +300,8 @@ class CompressedAnnotationMatrix:
             column = self._columns[vec]
         else:
             column = self._columns[vec] = _Column(vec)
-            rows = self._rows
-            for r, c in vec:
-                rows[r][column] = c
+            for r, _ in vec:
+                self._rows[r][column] = None
             self._nnz += len(vec)
         self._slots[slot] = column
         if self._debug:
@@ -368,12 +368,10 @@ class CompressedAnnotationMatrix:
         for row, entries in self._rows.items():
             if not entries:
                 raise InvariantViolation(f"live row {row} is empty")
-            for column, coeff in entries.items():
-                if not 0 < coeff < p:
-                    raise InvariantViolation("non-canonical coefficient in row")
+            for column in entries:
                 stored_as = self._columns.get(column.key)
-                if stored_as is not column or dict(column.key).get(row) != coeff:
-                    raise InvariantViolation("row entry disagrees with its column")
+                if stored_as is not column or row not in dict(column.key):
+                    raise InvariantViolation("row lists a column with no entry there")
             indexed += len(entries)
         stored = 0
         for key, column in self._columns.items():
@@ -385,7 +383,9 @@ class CompressedAnnotationMatrix:
             if rows != sorted(set(rows)):
                 raise InvariantViolation("column rows not strictly ascending")
             for row, coeff in key:
-                if self._rows.get(row, {}).get(column) != coeff:
+                if not 0 < coeff < p:
+                    raise InvariantViolation("non-canonical coefficient in column")
+                if column not in self._rows.get(row, ()):
                     raise InvariantViolation("column entry missing from its row")
             stored += len(key)
         if not (self._nnz == stored == indexed):

@@ -56,19 +56,8 @@ class PersistenceDiagram:
     def __repr__(self) -> str:
         return f"PersistenceDiagram({len(self.pairs)} pairs)"
 
-    def triples(self) -> list[tuple[int, float, float]]:
-        return [q.triple for q in self.pairs]
-
     def multiset(self) -> Counter:
         return Counter(q.triple for q in self.pairs)
-
-    def betti(self) -> dict[int, int]:
-        """Essential-class count per dimension."""
-        out: dict[int, int] = {}
-        for q in self.pairs:
-            if q.essential:
-                out[q.dim] = out.get(q.dim, 0) + 1
-        return out
 
 
 def diagram_equal(d1: PersistenceDiagram, d2: PersistenceDiagram) -> bool:

@@ -323,10 +323,19 @@ def _drop_row_entry(m):
     del entries[next(iter(entries))]
 
 
-def _change_coefficient(m):
+def _noncanonical_column_coefficient(m):
+    # slot "a"'s column, re-stored under its key with p in row 0
+    column = m._columns.pop(m.find_annotation("a"))
+    column.key = ((0, F11.p),)
+    m._columns[column.key] = column
+
+
+def _list_column_without_entry(m):
+    # row 0 lists slot "c"'s column in place of slot "b"'s, so the
+    # nonzero counts still agree
     entries = m._rows[0]
-    column = next(iter(entries))
-    entries[column] = (entries[column] + 1) % F11.p
+    del entries[m._slots["b"]]
+    entries[m._slots["c"]] = None
 
 
 def _bump_nonzero_count(m):
@@ -340,7 +349,8 @@ def _point_at_unindexed_column(m):
 
 @pytest.mark.parametrize(
     "corrupt",
-    [_drop_row_entry, _change_coefficient, _bump_nonzero_count,
+    [_drop_row_entry, _noncanonical_column_coefficient,
+     _list_column_without_entry, _bump_nonzero_count,
      _point_at_unindexed_column],
 )
 def test_audit_catches_corruption(corrupt):

@@ -47,4 +47,3 @@ def test_diagram_pairs_keep_their_sorted_order():
     d = PersistenceDiagram(pairs)
     assert d.pairs == [pairs[4], pairs[2], pairs[1], pairs[3], pairs[0]]
     assert list(d) == d.pairs
-    assert d.triples() == [q.triple for q in d.pairs]
