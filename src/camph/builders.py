@@ -3,6 +3,7 @@ any sequence of equal-length coordinate sequences (NumPy arrays too)."""
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
 from .errors import DimensionMismatch
 from .simplex_tree import SimplexTree
@@ -18,20 +19,14 @@ def _rows(points) -> list[tuple[float, ...]]:
     return rows
 
 
-def _upper_distances(rows: list[tuple[float, ...]]) -> list[list[float]]:
-    """n lists of n floats whose entry [i][j], i < j, is the distance of
-    points i and j; the entries on and below the diagonal are 0.0."""
-    columns = list(zip(*rows))
-    n = len(rows)
-    dist: list[list[float]] = []
-    for i in range(n):
-        # squared distances from point i to every later point
-        acc = [0.0] * (n - i - 1)
-        for col in columns:
-            x = col[i]
-            acc = [s + (x - y) * (x - y) for s, y in zip(acc, col[i + 1 :])]
-        dist.append([0.0] * (i + 1) + list(map(math.sqrt, acc)))
-    return dist
+def _distances(columns, i: int, lo: int, hi: int) -> list[float]:
+    """The distances from point i to points lo..hi-1 of the same columns:
+    the root of the squared differences added left to right from 0.0."""
+    acc = [0.0] * (hi - lo)
+    for col in columns:
+        x = col[i]
+        acc = [s + (x - y) * (x - y) for s, y in zip(acc, col[lo:hi])]
+    return list(map(math.sqrt, acc))
 
 
 def pairwise_distances(points) -> list[list[float]]:
@@ -39,10 +34,44 @@ def pairwise_distances(points) -> list[list[float]]:
     root of the squared differences added left to right from 0.0. NumPy's
     sum gives the same bits for up to 7 coordinates but may differ in the
     last bit from 8 on, where it sums in another order."""
-    dist = _upper_distances(_rows(points))
-    for i, row in enumerate(dist):
-        row[:i] = [earlier[i] for earlier in dist[:i]]
-    return dist
+    rows = _rows(points)
+    columns = list(zip(*rows))
+    return [_distances(columns, i, 0, len(rows)) for i in range(len(rows))]
+
+
+def _near(
+    rows: list[tuple[float, ...]], max_edge_length: float
+) -> list[dict[int, float]]:
+    """near[v]: each later vertex u within reach of v -> their distance,
+    in ascending u order.
+
+    The points are swept in order of their widest coordinate, and only
+    pairs inside the sweep window are measured. A pair is left out only
+    when that coordinate's term alone, as the distance sum computes it,
+    is out of reach: the terms are non-negative and rounding is
+    monotone, so the whole sum is at least any one term. Along the sweep
+    the term grows, so each window ends where bisect finds it.
+    """
+    n = len(rows)
+    columns = list(zip(*rows))
+    # without coordinates every pair is in the window
+    axis = max(columns, key=lambda col: max(col) - min(col), default=[0.0] * n)
+    order = sorted(range(n), key=axis.__getitem__)
+    xs = [axis[i] for i in order]
+    columns = [[col[i] for i in order] for col in columns]
+    pairs: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for k, v in enumerate(order):
+        x = xs[k]
+        end = bisect_right(
+            xs, max_edge_length, k + 1, key=lambda y: math.sqrt(0.0 + (y - x) * (y - x))
+        )
+        for u, d in zip(order[k + 1 : end], _distances(columns, k, k + 1, end)):
+            if d <= max_edge_length:
+                if v < u:
+                    pairs[v].append((u, d))
+                else:
+                    pairs[u].append((v, d))
+    return [dict(sorted(links)) for links in pairs]
 
 
 def build_rips(points, max_edge_length: float, max_dim: int) -> SimplexTree:
@@ -50,12 +79,17 @@ def build_rips(points, max_edge_length: float, max_dim: int) -> SimplexTree:
 
     A simplex is included when its diameter (largest pairwise distance) is
     at most ``max_edge_length`` and its dimension at most ``max_dim``; its
-    filtration value is that diameter, with vertices at 0. Cliques are
+    filtration value is that diameter, with vertices at 0. Only the pairs
+    that a sweep along one coordinate cannot rule out are measured (see
+    _near), each to the bits that pairwise_distances gives. Cliques are
     grown by intersecting sorted upper-neighbor lists, so enumeration is
     lexicographic and duplicate-free, and the result is closed and
     monotone by construction. Each candidate vertex carries its largest
     distance to the clique, so a grown clique's diameter takes one
     comparison; the finished value dict goes to the tree in one piece.
+    The cyclic garbage collector is left running: pausing it here only
+    defers its first pass over the new simplices to the caller's next
+    allocations, which then pay for it.
     """
     if not max_edge_length >= 0:
         raise ValueError(
@@ -68,12 +102,7 @@ def build_rips(points, max_edge_length: float, max_dim: int) -> SimplexTree:
     pts = _rows(points)
     if not all(math.isfinite(x) for point in pts for x in point):
         raise ValueError("point coordinates must be finite")
-    dist = _upper_distances(pts)
-    # near[v]: each later vertex within reach of v -> its distance to v
-    near = [
-        {u: d for u, d in enumerate(row[v + 1 :], v + 1) if d <= max_edge_length}
-        for v, row in enumerate(dist)
-    ]
+    near = _near(pts, max_edge_length)
     values: dict[tuple[int, ...], float] = {}
 
     def expand(

@@ -1,10 +1,13 @@
 import hashlib
+import itertools
 import json
 import math
 import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from camph import (
     PrimeField,
@@ -129,6 +132,13 @@ def test_overflowing_distance_rejected():
     assert len(build_rips([(0.0,), (1e200,)], math.inf, 0)) == 2
 
 
+def test_overflow_named_in_vertex_order_not_sweep_order():
+    # the sweep meets vertex 2 first, but cliques still grow from each
+    # vertex's neighbours in ascending order, so (0, 1) is built first
+    with pytest.raises(ValueError, match=r"^value inf of \(0, 1\) is not finite$"):
+        build_rips([(1e200,), (1.0,), (0.0,)], math.inf, 2)
+
+
 def test_unquantized_rips_bytes_match_recorded_digests():
     # the quantized corpora round diameters to one decimal, which hides a
     # last-bit change in a distance; these digests see every bit
@@ -169,3 +179,79 @@ def test_numpy_array_input_matches_list_input():
     from_array = build_rips(np.array(pts), 0.5, 2)
     assert from_array.simplices() == from_list.simplices()
     assert len(build_rips(np.zeros((5, 0)), 1.0, 2)) == 25
+
+
+def _all_pairs_simplices(points, max_edge_length, max_dim):
+    """build_rips(...).simplices() the slow way: every vertex subset, its
+    diameter read from the full distance matrix."""
+    dist = pairwise_distances(points)
+    out = []
+    for size in range(1, max_dim + 2):
+        for simplex in itertools.combinations(range(len(points)), size):
+            pairs = itertools.combinations(simplex, 2)
+            value = max((dist[u][v] for u, v in pairs), default=0.0)
+            if value <= max_edge_length:
+                out.append((simplex, value))
+    return sorted(out)
+
+
+# a few scales, signs and ties, so that sweep windows end on exact ties
+_COORDINATES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 1e-200, -1e-200, 1e16, 1e16 + 2]),
+    st.integers(-4, 4).map(float),
+    st.floats(-3.0, 3.0),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([0, 1, 2, 3, 5]), st.data())
+def test_sweep_measures_every_pair_in_reach(width, data):
+    points = data.draw(
+        st.lists(st.tuples(*[_COORDINATES] * width), min_size=1, max_size=6)
+    )
+    copies = data.draw(st.lists(st.integers(0, len(points) - 1), max_size=2))
+    points += [points[i] for i in copies]
+    # reaches that sit exactly on a distance or on one coordinate's gap
+    dist = pairwise_distances(points)
+    gaps = [abs(p[c] - q[c]) for p in points for q in points for c in range(width)]
+    max_edge_length = data.draw(
+        st.one_of(
+            st.sampled_from([0.0, math.inf]),
+            st.sampled_from([d for row in dist for d in row]),
+            st.sampled_from(gaps) if gaps else st.just(0.0),
+            st.floats(0.0, 10.0),
+        )
+    )
+    max_dim = data.draw(st.integers(0, 3))
+    built = build_rips(points, max_edge_length, max_dim).simplices()
+    assert built == _all_pairs_simplices(points, max_edge_length, max_dim)
+
+
+@pytest.mark.parametrize(
+    "points, max_edge_length, size",
+    [
+        # the squared gap underflows to 0.0, so the edge is in reach
+        pytest.param([(0.0,), (1e-200,)], 0.0, 3, id="underflow"),
+        # exactly the reach apart on the sweep coordinate
+        pytest.param([(0.0, 0.0), (1.0, 0.0)], 1.0, 3, id="reach-apart"),
+        pytest.param(
+            [(0.0, 0.0), (0.5, 0.0), (1.0, 0.0), (1.0, 0.0)], 0.5, 9, id="reach-apart-tied"
+        ),
+        # 1e16 + 1.0 rounds to 1e16, the next float is 1e16 + 2
+        pytest.param([(1e16,), (1e16 + 2,), (1e16 + 4,)], 1.0, 3, id="1e16-reach-1"),
+        pytest.param([(1e16,), (1e16 + 2,), (1e16 + 4,)], 2.0, 5, id="1e16-reach-2"),
+        pytest.param([(1e16,), (1e16 + 2,), (1e16 + 4,)], 1.5, 3, id="1e16-reach-1.5"),
+        pytest.param([(1e16, 0.0), (1e16, 1.0), (1e16 + 2, 0.0)], 2.0, 5, id="1e16-2d"),
+        # opposite signs on either side of 0
+        pytest.param([(-0.5,), (0.5,)], 1.0, 3, id="signs"),
+        pytest.param([(-0.5, 1.0), (0.5, -1.0), (-0.0, 0.0)], 1.2, 5, id="signs-2d"),
+        pytest.param([(-1e-200,), (1e-200,), (0.0,), (-0.0,)], 0.0, 14, id="signs-tiny"),
+        # an infinite reach measures every pair
+        pytest.param([(0.0,), (1e100,), (-1e100,), (3.0,)], math.inf, 14, id="infinite"),
+    ],
+)
+def test_sweep_boundary_cases(points, max_edge_length, size):
+    built = build_rips(points, max_edge_length, 2).simplices()
+    assert built == _all_pairs_simplices(points, max_edge_length, 2)
+    assert len(built) == size
+
