@@ -33,14 +33,27 @@ class PersistencePair(NamedTuple):
         return self[:3]
 
 
+def _order(q: PersistencePair) -> tuple:
+    return q.dim, q.birth, q.death, q.creator or (), q.killer or ()
+
+
 class PersistenceDiagram:
-    """A multiset of (dim, birth, death) points."""
+    """A multiset of (dim, birth, death) points.
+
+    ``pairs`` lists them sorted by (dim, birth, death, creator, killer),
+    a missing creator or killer sorting as the empty tuple.
+    """
 
     def __init__(self, pairs: Iterable[PersistencePair] = ()):
-        self.pairs = sorted(
-            pairs,
-            key=lambda q: (q.dim, q.birth, q.death, q.creator or (), q.killer or ()),
-        )
+        pairs = list(pairs)
+        try:
+            # Pairs compare as tuples, field by field, and each field
+            # comparison agrees with the key's unless it sets None against
+            # a tuple, which raises. So a sort that raises nothing gives
+            # the key's order, without a key call per pair.
+            self.pairs = sorted(pairs)
+        except TypeError:
+            self.pairs = sorted(pairs, key=_order)
 
     def __iter__(self) -> Iterator[PersistencePair]:
         return iter(self.pairs)

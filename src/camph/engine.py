@@ -7,7 +7,8 @@ the engine only tests whether the sum vanishes and hands it back to the
 matrix. A vanishing sum starts a fresh cocycle class in the simplex's
 dimension, a nonvanishing sum destroys the youngest class contributing to
 it one dimension below and pairs that class's creator with the new
-simplex. Live classes at the end become essential pairs.
+simplex. Live classes at the end become essential pairs, listed per
+dimension in key order, which is the diagram's order for them.
 
 Annotations exist only to answer later boundary sums, and no simplex of
 the complex's top dimension is a face of anything, so that dimension gets
@@ -132,24 +133,39 @@ class PersistenceEngine:
         self._insert(self.complex.key(simplex), defer=True)
 
     def finish(self) -> PersistenceDiagram:
-        """Flush deferred creators, close essential classes, emit the diagram."""
+        """Flush deferred creators, close essential classes, emit the diagram.
+
+        A deferred top-dimensional creator goes straight into the live
+        classes, as nothing reads its annotation. Each dimension's
+        essential pairs come out in key order, which within one dimension
+        is (birth, creator) order, so they reach the diagram's sort
+        already in place.
+        """
         if self._finished:
             raise RuntimeError("finish() was already called")
         self._finished = True
         marked = self._marked
-        for key, row in marked.items():
-            self._insert_creator(key, row)
         if marked:
+            dim_of, top = self._dim_of, self._top
+            top_rows = self._creators[top]
+            for key, row in marked.items():
+                if dim_of[key] == top:
+                    top_rows[row] = key
+                else:
+                    self._insert_creator(key, row)
             # the flush only creates, so every peak is reached at its end
             self._sample()
-        marked.clear()
+            marked.clear()
         # zero-length pairs were dropped as they were recorded; values are
         # finite, so no essential pair has zero length
         pairs = self._pairs
+        value_of, simplex_of, inf = self._value_of, self._simplex_of, math.inf
+        new = tuple.__new__  # skips NamedTuple's Python-level __new__
         for dim, rows in enumerate(self._creators):
-            for creator in rows.values():
-                simplex, birth = self._simplex_of[creator], self._value_of[creator]
-                pairs.append(PersistencePair(dim, birth, math.inf, simplex))
+            pairs += [
+                new(PersistencePair, (dim, value_of[key], inf, simplex_of[key], None))
+                for key in sorted(rows.values())
+            ]
         return PersistenceDiagram(pairs)
 
     # ------------------------------------------------------------------

@@ -82,8 +82,20 @@ def read_filtration(path) -> SimplexTree:
 
 
 def format_diagram(diagram: PersistenceDiagram) -> str:
-    """Canonical text rendering, in the diagram's (dim, birth, death) order."""
-    pairs = diagram.pairs
-    lines = [f"{dim} {float(birth)!r} {float(death)!r}" for dim, birth, death, _, _ in pairs]
-    return "\n".join(lines) + ("\n" if lines else "")
+    """Canonical text rendering, in the diagram's (dim, birth, death) order.
 
+    Each value is written as ``repr(float(value))``, computed once per run
+    of equal values in its column: the pairs are sorted, so equal births
+    of one dimension are adjacent, as are the ``inf`` deaths of essential
+    classes that share a birth. A zero is always written on its own,
+    because ``-0.0 == 0.0`` would let one run print both with one sign.
+    """
+    lines = []
+    birth_text = death_text = last_birth = last_death = None
+    for dim, birth, death, _, _ in diagram.pairs:
+        if birth != last_birth or not birth:
+            birth_text, last_birth = repr(float(birth)), birth
+        if death != last_death or not death:
+            death_text, last_death = repr(float(death)), death
+        lines.append(f"{dim} {birth_text} {death_text}")
+    return "\n".join(lines) + ("\n" if lines else "")

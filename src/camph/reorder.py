@@ -103,23 +103,41 @@ def _walk(complex, lo: int, hi: int) -> list[int]:
     return out
 
 
+def _blocks_to_walk(complex: SimplexTree):
+    """The ``(lo, hi)`` key range of each block the walk may permute.
+
+    One scan over the keys, in order. A block whose every later member has
+    the first member as a face (one edge and the triangles it closes, say)
+    climbs from the first member to all the others and emits them in key
+    order, so it is not walked. The scan leaves a block at the first later
+    member without that face: it skips to the block's end, and only those
+    blocks are walked. This is the rule "every later member has the first
+    as its youngest face": a later member with face ``lo`` and another
+    face ``f`` above it has ``f`` in the block, of ``lo``'s dimension, so
+    ``f`` is an earlier later member that lacks face ``lo``.
+    """
+    value_of, faces_of = complex.value_of, complex.faces_of
+    n = len(value_of)
+    lo, value = 0, None
+    key = 0
+    while key < n:
+        if value_of[key] != value:
+            lo, value = key, value_of[key]
+        elif lo not in faces_of[key]:
+            hi = bisect_right(value_of, value, key)
+            yield lo, hi
+            key = hi - 1  # the next key starts a block
+        key += 1
+
+
 def reordered_filtration(complex: SimplexTree) -> list[Simplex]:
     """The full filtration with every equal-value block reordered."""
-    faces_of = complex.faces_of
-    dim_of = complex.dim_of
     simplex_of = complex.simplex_of
     out: list[Simplex] = []
-    for lo, hi in _key_ranges(complex):
-        # A block whose every later member has the first as its youngest
-        # face (one edge and the triangles it closes, say) climbs from the
-        # first member to all the others and emits them in key order. Keys
-        # of a block ascend in dimension, so a later member is a vertex, with
-        # no faces, only if the second one is; the check stops at the first
-        # member that fails it.
-        if hi - lo == 1 or (
-            dim_of[lo + 1] and all(map(lo.__eq__, map(max, faces_of[lo + 1 : hi])))
-        ):
-            out += simplex_of[lo:hi]
-        else:
-            out += map(simplex_of.__getitem__, _walk(complex, lo, hi))
+    done = 0
+    for lo, hi in _blocks_to_walk(complex):
+        out += simplex_of[done:lo]
+        out += map(simplex_of.__getitem__, _walk(complex, lo, hi))
+        done = hi
+    out += simplex_of[done:]
     return out

@@ -2,7 +2,16 @@ import math
 
 import pytest
 
-from camph import PersistenceDiagram, PersistencePair
+from camph import (
+    EngineOptions,
+    PersistenceDiagram,
+    PersistencePair,
+    PrimeField,
+    compute_persistence,
+    oracle_reduce,
+)
+
+from tests.fixtures import canned_complexes, random_rips_corpus
 
 
 def test_pair_fields_defaults_and_properties():
@@ -47,3 +56,60 @@ def test_diagram_pairs_keep_their_sorted_order():
     d = PersistenceDiagram(pairs)
     assert d.pairs == [pairs[4], pairs[2], pairs[1], pairs[3], pairs[0]]
     assert list(d) == d.pairs
+
+
+def _documented(q):
+    return q.dim, q.birth, q.death, q.creator or (), q.killer or ()
+
+
+def _positions(pairs, listed):
+    # by identity, since 1 == 1.0 makes pairs that print differently equal
+    at = {id(q): i for i, q in enumerate(listed)}
+    return [at[id(q)] for q in pairs]
+
+
+def test_missing_simplices_sort_by_the_documented_key():
+    # None and a tuple do not compare, so these pairs need the key; pairs
+    # 1, 3 and 5 tie under it (1 == 1.0, and None sorts as ()) and keep
+    # their input order
+    pairs = [
+        PersistencePair(0, 1.0, 2.0, (3,), (0, 3)),
+        PersistencePair(0, 1, 2.0),
+        PersistencePair(0, 1.0, 2.0, None, (1, 2)),
+        PersistencePair(0, 1.0, 2.0),
+        PersistencePair(0, 1, 2.0, (1,)),
+        PersistencePair(0, 1.0, 2.0, ()),
+        PersistencePair(0, 0.5, math.inf, (2,)),
+        PersistencePair(0, 1.0, 2.0, (1,), (0, 1)),
+    ]
+    d = PersistenceDiagram(iter(pairs))
+    assert _positions(d.pairs, pairs) == [6, 1, 3, 5, 2, 4, 7, 0]
+
+
+def test_full_pairs_sort_by_the_documented_key():
+    # every creator and killer present: births 1 and 1.0 tie, and equal
+    # pairs keep their input order
+    pairs = [
+        PersistencePair(1, 1.0, 3.0, (0, 2), (0, 1, 2)),
+        PersistencePair(1, 1, 3.0, (0, 1), (0, 1, 2)),
+        PersistencePair(0, 1.0, math.inf, (4,), None),
+        PersistencePair(1, 1.0, 3.0, (0, 1), (0, 1, 2)),
+        PersistencePair(1, 1, 2.0, (1, 2), (1, 2, 3)),
+        PersistencePair(0, 0, 1.0, (1,), (0, 1)),
+    ]
+    d = PersistenceDiagram(pairs)
+    assert _positions(d.pairs, pairs) == [5, 2, 4, 1, 3, 0]
+
+
+@pytest.mark.parametrize("lazy", [False, True])
+@pytest.mark.parametrize("reorder", [False, True])
+def test_engine_and_oracle_diagrams_in_documented_order(lazy, reorder):
+    field = PrimeField(3)
+    complexes = list(canned_complexes().values())
+    complexes += random_rips_corpus(quantize=True)
+    options = EngineOptions(lazy=lazy, reorder=reorder, emit_zero_length=True)
+    for c in complexes:
+        d, _ = compute_persistence(c, field, options)
+        reference = oracle_reduce(c, field, emit_zero_length=True)
+        for pairs in (d.pairs, reference.pairs):
+            assert pairs == sorted(pairs, key=_documented)

@@ -5,6 +5,8 @@ import pytest
 from camph import (
     PersistenceDiagram,
     PersistencePair,
+    PrimeField,
+    compute_persistence,
     format_diagram,
     read_filtration,
     read_points,
@@ -135,6 +137,27 @@ def test_filtration_round_trip(tmp_path):
 def test_essential_class_written_as_inf():
     d = PersistenceDiagram([PersistencePair(0, 0.0, math.inf)])
     assert format_diagram(d) == "0 0.0 inf\n"
+
+
+def test_signed_zeros_keep_their_sign(tmp_path):
+    # -0.0 == 0.0 and they hash alike, so a table of written values keyed
+    # by value alone would print one sign for both
+    path = tmp_path / "zeros.flt"
+    path.write_text("0 0\n-0.0 1\n0.0 2\n-0.0 3\n")
+    d, _ = compute_persistence(read_filtration(path), PrimeField(2))
+    assert format_diagram(d) == "0 0.0 inf\n0 -0.0 inf\n0 0.0 inf\n0 -0.0 inf\n"
+    d = PersistenceDiagram(
+        [
+            PersistencePair(0, -0.0, 0.0),
+            PersistencePair(1, 0, -0.0),
+            PersistencePair(1, 0.0, math.inf),
+            PersistencePair(1, 1, 2.5),
+            PersistencePair(1, 1.0, 2.5),
+        ]
+    )
+    assert format_diagram(d) == (
+        "0 -0.0 0.0\n1 0.0 -0.0\n1 0.0 inf\n1 1.0 2.5\n1 1.0 2.5\n"
+    )
 
 
 def test_comments_and_blank_lines_skipped(tmp_path):

@@ -7,7 +7,7 @@ drawn level and its faces' values, which makes the filtration monotone.
 """
 from itertools import combinations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from camph import (
@@ -107,14 +107,56 @@ def test_read_filtration_matches_insertion(tmp_path_factory, values, data):
         assert read.key(simplex) == inserted.key(simplex)
 
 
+def _per_block_order(tree: SimplexTree) -> list[tuple[int, ...]]:
+    """Each block tested on its own: kept in key order when it has one
+    member, or when its second member is no vertex and every later member
+    has the first as its youngest face; walked otherwise."""
+    out = []
+    for lo, hi in _key_ranges(tree):
+        later = tree.faces_of[lo + 1 : hi]
+        if hi - lo == 1 or (tree.dim_of[lo + 1] and all(max(f) == lo for f in later)):
+            out += tree.simplex_of[lo:hi]
+        else:
+            out += [tree.simplex_of[key] for key in _walk(tree, lo, hi)]
+    return out
+
+
+# vertices 0-3 at 0.0 form a vertex-only block
+_VERTICES = {(v,): 0.0 for v in range(4)}
+
+
 @settings(max_examples=100, deadline=None)
 @given(closed_filtrations())
+# a vertex-only block, then a one-member last block
+@example({**_VERTICES, (0, 1): 1.0})
+# a block whose second member is a vertex: (2,), (3,), (2, 3) at 1.0
+@example({(0,): 0.0, (1,): 0.0, (0, 1): 0.5, (2,): 1.0, (3,): 1.0, (2, 3): 1.0})
+# the triangle in the block of (2, 3) has every face below that block
+@example(
+    {**_VERTICES, (0, 1): 0.5, (0, 2): 0.5, (1, 2): 0.5, (2, 3): 1.0, (0, 1, 2): 1.0}
+)
+# a walked block, (0, 3) not hanging off (0, 2), then a kept block of one
+# edge and the triangle it closes, then a one-member last block
+@example(
+    {
+        **_VERTICES,
+        (1, 2): 0.5,
+        (0, 2): 1.0,
+        (0, 3): 1.0,
+        (0, 1): 1.5,
+        (0, 1, 2): 1.5,
+        (2, 3): 2.0,
+    }
+)
 def test_key_range_reorder_matches_full_walk(values):
-    # reordered_filtration emits a block whose later members all hang off
-    # its first member in key order, without walking it; the walk must agree
+    # reordered_filtration walks only the blocks one scan over the keys
+    # finds; that must be the per-block rule, and a block the rule keeps
+    # in key order must be one the walk leaves in key order
     tree = tree_of(values)
     keys = [key for lo, hi in _key_ranges(tree) for key in _walk(tree, lo, hi)]
-    assert reordered_filtration(tree) == [tree.simplex_of[key] for key in keys]
+    reference = _per_block_order(tree)
+    assert reordered_filtration(tree) == reference
+    assert reference == [tree.simplex_of[key] for key in keys]
 
 
 @settings(max_examples=40, deadline=None)
