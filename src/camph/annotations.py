@@ -1,8 +1,9 @@
 """Sparse annotation vectors and the compressed annotation matrix.
 
-An annotation vector assigns one Z_p coefficient to each live cocycle row;
-vectors are sorted tuples of ``(row, coefficient)`` pairs with every
-coefficient nonzero, the empty tuple being the zero vector. Rows are the
+An annotation vector assigns one Z_p coefficient to each live cocycle row.
+The zero vector is ``()``; any other is ``(rows, coeffs)``, two parallel
+tuples with the rows strictly ascending and every coefficient in 1..p-1,
+so a merge walks two flat tuples and builds no pair per entry. Rows are the
 caller's seniority: it creates each class on a row above every older
 class's, so a vector's maximal row names its youngest class. This module is
 the only one that reads or builds vectors: callers hand the matrix slots and
@@ -50,10 +51,11 @@ from .errors import (
 )
 from .field import PrimeField
 
-AnnotationVector = tuple[tuple[int, int], ...]
+# () or (rows, coeffs)
+AnnotationVector = tuple[tuple[int, ...], ...]
 
-# a sentinel entry above every row, ending each column's walk in a kill
-_END = ((math.inf, 0),)
+# a sentinel above every row, ending each column's walk in a kill
+_PAST_LAST = (math.inf,)
 
 
 class _Column:
@@ -114,6 +116,12 @@ class CompressedAnnotationMatrix:
     def is_assigned(self, slot) -> bool:
         return slot in self._slots
 
+    def holds_shared_zero(self, slot) -> bool:
+        """Whether ``slot`` was assigned the zero column, by ``assign_zero``
+        or by a fold that left (). A slot whose own column a kill cancels
+        holds () too but is not counted."""
+        return self._slots.get(slot) is self._zero
+
     # ------------------------------------------------------------------
     # operations
 
@@ -128,7 +136,7 @@ class CompressedAnnotationMatrix:
         if row in self._rows:
             raise InvariantViolation(f"row {row} is live")
         self._rows[row] = {}
-        self._assign(slot, ((row, 1),))
+        self._assign(slot, ((row,), (1,)))
 
     def assign_zero(self, slot) -> None:
         """Give ``slot`` the zero annotation: the shared zero column."""
@@ -186,7 +194,7 @@ class CompressedAnnotationMatrix:
         if row in self._rows:
             raise InvariantViolation(f"row {row} is live")
         vec, ops = self._sum(slots, slot)
-        if vec and vec[-1][0] > row:
+        if vec and vec[0][-1] > row:
             return False
         p = self._field.p
         if slots.index(slot) % 2:
@@ -195,8 +203,11 @@ class CompressedAnnotationMatrix:
         elif p == 2:
             ops += 3  # -1/c = 1 again, and -s = s
         else:
-            ops += 4 + len(vec)
-            vec = tuple([(r, p - c) for r, c in vec])
+            ops += 4
+            if vec:
+                rows, coeffs = vec
+                ops += len(rows)
+                vec = (rows, tuple([p - c for c in coeffs]))
         self._field.charge(ops)
         self._assign(slot, vec)
         return True
@@ -219,15 +230,16 @@ class CompressedAnnotationMatrix:
         a_bd = boundary_annotation
         if not a_bd:
             raise ZeroAnnotation("cannot destroy with the zero annotation")
+        bd_rows, bd_coeffs = a_bd
         rows = self._rows
         try:
-            bd = [(row, a, rows[row]) for row, a in a_bd]
+            bd = list(zip(bd_rows, bd_coeffs, [rows[row] for row in bd_rows]))
         except KeyError as exc:
             raise InvariantViolation(f"row {exc.args[0]} is not live") from None
         n_bd = len(bd)
-        row_j, c_j = a_bd[-1]
+        row_j = bd_rows[-1]
         p = self._field.p
-        inv = pow(c_j, -1, p)
+        inv = pow(bd_coeffs[-1], -1, p)
         columns = self._columns
         # the row operation is simultaneous: every touched column leaves the
         # key index before any new key is looked up, so a new key collides
@@ -237,43 +249,50 @@ class CompressedAnnotationMatrix:
             del columns[column.key]
         ops = 0
         for column in touched:
-            key = column.key
-            lam = (p - key[bisect_left(key, (row_j,))][1]) * inv % p
-            ext = key + _END
-            out = []
-            append = out.append
+            key_rows, key_coeffs = column.key
+            lam = (p - key_coeffs[bisect_left(key_rows, row_j)]) * inv % p
+            ext = key_rows + _PAST_LAST
+            out_r = []
+            out_c = []
+            add_r = out_r.append
+            add_c = out_c.append
             shared = i = 0
-            kr, kc = ext[0]
-            # merge key with lam * a_bd; only rows of a_bd change, and only
-            # an entry that appears or cancels changes its row's membership
+            kr = ext[0]
+            # merge the key with lam * a_bd; only rows of a_bd change, and
+            # only an entry that appears or cancels changes its row's
+            # membership
             for row, a, entries in bd:
                 while kr < row:
-                    append((kr, kc))
+                    add_r(kr)
+                    add_c(key_coeffs[i])
                     i += 1
-                    kr, kc = ext[i]
+                    kr = ext[i]
                 if kr == row:
                     shared += 1
-                    x = (kc + lam * a) % p
+                    x = (key_coeffs[i] + lam * a) % p
                     i += 1
-                    kr, kc = ext[i]
+                    kr = ext[i]
                     if x:
-                        append((row, x))
+                        add_r(row)
+                        add_c(x)
                     else:
                         del entries[column]
                 else:
-                    append((row, lam * a % p))
+                    add_r(row)
+                    add_c(lam * a % p)
                     entries[column] = None
             # the field operations of -f/c, of scaling a_bd by lam != 1 and of
             # one addition per shared row
             ops += 2 + shared + (n_bd if lam != 1 else 0)
-            new_key = tuple(out) + key[i:]
-            self._nnz += len(new_key) - len(key)
+            new_rows = tuple(out_r) + key_rows[i:]
+            self._nnz += len(new_rows) - len(key_rows)
+            new_key = (new_rows, tuple(out_c) + key_coeffs[i:]) if new_rows else ()
             existing = columns.setdefault(new_key, column) if new_key else column
             if existing is not column:
                 # equal to a stored column: drop this copy, keeping no key
-                for row, _ in new_key:
+                for row in new_rows:
                     del rows[row][column]
-                self._nnz -= len(new_key)
+                self._nnz -= len(new_rows)
                 new_key, column.forward = (), existing
             column.key = new_key
         self._field.charge(ops)
@@ -300,9 +319,9 @@ class CompressedAnnotationMatrix:
             column = self._columns[vec]
         else:
             column = self._columns[vec] = _Column(vec)
-            for r, _ in vec:
+            for r in vec[0]:
                 self._rows[r][column] = None
-            self._nnz += len(vec)
+            self._nnz += len(vec[0])
         self._slots[slot] = column
         if self._debug:
             self.check_invariants()
@@ -329,14 +348,15 @@ class CompressedAnnotationMatrix:
             j, vec = terms[0]
             if j % 2 == 0:
                 return vec, 0
-            return tuple([(row, p - c) for row, c in vec]), len(vec)
+            rows, coeffs = vec
+            return (rows, tuple([p - c for c in coeffs])), len(rows)
         acc: dict[int, int] = {}
         ops = 0
-        for j, vec in terms:
+        for j, (rows, coeffs) in terms:
             odd = j % 2
             if odd:
-                ops += len(vec)
-            for row, c in vec:
+                ops += len(rows)
+            for row, c in zip(rows, coeffs):
                 if odd:
                     c = p - c
                 x = acc.pop(row, 0)
@@ -345,7 +365,10 @@ class CompressedAnnotationMatrix:
                     c = (x + c) % p
                 if c:
                     acc[row] = c
-        return tuple(sorted(acc.items())), ops
+        if not acc:
+            return (), ops
+        rows = tuple(sorted(acc))
+        return (rows, tuple(map(acc.__getitem__, rows))), ops
 
     def _find(self, slot) -> _Column:
         # the end of the slot's forwarding chain; every column on the chain,
@@ -370,24 +393,26 @@ class CompressedAnnotationMatrix:
                 raise InvariantViolation(f"live row {row} is empty")
             for column in entries:
                 stored_as = self._columns.get(column.key)
-                if stored_as is not column or row not in dict(column.key):
+                if stored_as is not column or row not in column.key[0]:
                     raise InvariantViolation("row lists a column with no entry there")
             indexed += len(entries)
         stored = 0
         for key, column in self._columns.items():
             if column.key != key:
                 raise InvariantViolation("column stored under a stale key")
-            if not key:
+            if not key or not key[0]:
                 raise InvariantViolation("zero vector stored as a column")
-            rows = [row for row, _ in key]
-            if rows != sorted(set(rows)):
+            if len(key) != 2 or len(key[0]) != len(key[1]):
+                raise InvariantViolation("column rows and coefficients differ in shape")
+            rows, coeffs = key
+            if list(rows) != sorted(set(rows)):
                 raise InvariantViolation("column rows not strictly ascending")
-            for row, coeff in key:
+            for row, coeff in zip(rows, coeffs):
                 if not 0 < coeff < p:
                     raise InvariantViolation("non-canonical coefficient in column")
                 if column not in self._rows.get(row, ()):
                     raise InvariantViolation("column entry missing from its row")
-            stored += len(key)
+            stored += len(rows)
         if not (self._nnz == stored == indexed):
             raise InvariantViolation("nonzero counter out of sync")
         # every slot's chain ends at a zero column or a stored one, and every

@@ -4,7 +4,8 @@ Simplices enter in filtration order. For each one the annotation matrix
 one dimension down returns the signed sum of its boundary faces'
 annotations (signs collapse over Z_2 but the code path is field-generic);
 the engine only tests whether the sum vanishes and hands it back to the
-matrix. A vanishing sum starts a fresh cocycle class in the simplex's
+matrix. A simplex whose faces all hold the matrix's shared zero column
+(killers, and folds that leave zero) takes the zero sum with no lookup. A vanishing sum starts a fresh cocycle class in the simplex's
 dimension, a nonvanishing sum destroys the youngest class contributing to
 it one dimension below and pairs that class's creator with the new
 simplex. Live classes at the end become essential pairs, listed per
@@ -102,6 +103,9 @@ class PersistenceEngine:
         # per dimension: live row -> creator key
         self._creators: list[dict[int, int]] = [{} for _ in range(top + 1)]
         self._top_inserted: set[int] = set()
+        # keys below the top that hold the shared zero column: killers, and
+        # folds that leave ()
+        self._zero_keys: set[int] = set()
         self._pairs: list[PersistencePair] = []
         self._arrivals = itertools.count()  # the next arriving simplex's row
         self._marked: dict[int, int] = {}  # deferred key -> its arrival row
@@ -219,7 +223,12 @@ class PersistenceEngine:
             if self._fold(key, youngest, faces):
                 return
             self.lazy_evaluation(self._simplex_of[youngest])
-        a_bd = self._boundary_annotation(key)
+        # a boundary of zero faces (or none) sums to zero with no lookup; an
+        # uninserted face is never in the set, so it still raises MissingFace
+        if self._zero_keys.issuperset(faces):
+            a_bd = ()
+        else:
+            a_bd = self._boundary_annotation(key)
         dim = self._dim_of[key]
         top = dim == self._top
         inserted = key in self._top_inserted if top else self._matrices[dim].is_assigned(key)
@@ -253,12 +262,15 @@ class PersistenceEngine:
             # face's birth, counted as it would have been stored; if the
             # fold does not apply, forcing face takes this same sample
             self._sample(transient=dim)
+        matrix = self._matrices[dim]
         try:
-            if not self._matrices[dim].fold(face, self._marked[face], faces):
+            if not matrix.fold(face, self._marked[face], faces):
                 return False
         except UnassignedSlot:
             return False
         del self._marked[face]
+        if matrix.holds_shared_zero(face):
+            self._zero_keys.add(face)
         self._insert_killer(key, dim + 1, face)
         self._sample()
         return True
@@ -270,6 +282,7 @@ class PersistenceEngine:
             self._top_inserted.add(key)
         else:
             self._matrices[dim].assign_zero(key)
+            self._zero_keys.add(key)
         birth, death = self._value_of[creator], self._value_of[key]
         if birth != death or self.options.emit_zero_length:
             self._pairs.append(

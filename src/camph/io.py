@@ -55,8 +55,8 @@ def read_filtration(path) -> SimplexTree:
     surface from finalize().
 
     Each line is checked as SimplexTree.insert_simplex checks a simplex,
-    with the same messages, and a simplex listed twice keeps its smaller
-    value.
+    with the same messages, a simplex listed twice keeps its smaller
+    value, and a value of -0.0 is stored as 0.0.
     """
     values: dict[tuple[int, ...], float] = {}
     for lineno, line in _data_lines(path):
@@ -64,7 +64,7 @@ def read_filtration(path) -> SimplexTree:
         if len(tokens) < 2:
             raise ParseError("expected: value v0 [v1 ...]", path=path, line=lineno)
         try:
-            value = float(tokens[0])
+            value = float(tokens[0]) + 0.0  # -0.0 is read as 0.0, as _checked does
             verts = sorted(map(int, tokens[1:]))
         except ValueError as exc:
             raise ParseError(f"bad token ({exc})", path=path, line=lineno)

@@ -36,7 +36,9 @@ def _checked(vertices: Iterable[int], value: float) -> tuple[Simplex, float]:
             raise ValueError(f"vertex ids must be non-negative ints, got {v!r}")
     if len(set(verts)) != len(verts):
         raise ValueError(f"duplicate vertices in {verts}")
-    value = float(value)
+    # + 0.0 turns -0.0 into 0.0: the two compare equal, so keeping both
+    # signs would let the insertion order decide which one is printed
+    value = float(value) + 0.0
     if not math.isfinite(value):
         raise ValueError(f"value {value} of {verts} is not finite")
     return verts, value
@@ -69,7 +71,8 @@ class SimplexTree:
         """Store one simplex; re-insertion keeps the smaller value.
 
         Faces are not created implicitly: closure is validated by
-        finalize(), not repaired here. The value must be finite.
+        finalize(), not repaired here. The value must be finite; -0.0 is
+        stored as 0.0.
         """
         if self._finalized:
             raise RuntimeError("complex is finalized")

@@ -31,6 +31,13 @@ RP2_TRIANGLES = [
 ]
 
 
+def vec(*entries) -> tuple:
+    """The annotation vector with these ``(row, coefficient)`` entries, given
+    in row order: ``vec((0, 1), (2, 3))`` is ``((0, 2), (1, 3))``, parallel
+    rows and coefficients, and ``vec()`` is the zero vector ``()``."""
+    return tuple(zip(*entries))
+
+
 def surface_complex(triangles, iso: bool = False) -> SimplexTree:
     """Vertices at 0, edges at 1, triangles at 2 (all at 0 when iso)."""
     tree = SimplexTree()

@@ -15,6 +15,8 @@ from camph.errors import (
 )
 from camph.field import OpCountingField
 
+from tests.fixtures import vec
+
 F2 = PrimeField(2)
 F11 = PrimeField(11)
 
@@ -36,21 +38,21 @@ def _holding(field, vectors, rows=13):
     for slot, v in enumerate(vectors):
         row = rows + slot
         m.create_cocycle(slot, row)
-        m.kill_cocycle(tuple(v) + ((row, field.p - 1),))
+        m.kill_cocycle(vec(*zip(*v), (row, field.p - 1)))
     return m
 
 
 def test_sum_cancels_and_reports_max_row():
     # a - b with b = -((1,8),(2,5)): 3+8 = 0 mod 11 cancels row 1, and
     # the maximal row comes last, where kill_cocycle reads it
-    m = _holding(F11, [((1, 3), (4, 2)), ((1, 3), (2, 6))])
-    vec = m.signed_sum([0, 1])
-    assert vec == ((2, 5), (4, 2))
-    assert vec[-1] == (4, 2)
+    m = _holding(F11, [vec((1, 3), (4, 2)), vec((1, 3), (2, 6))])
+    total = m.signed_sum([0, 1])
+    assert total == vec((2, 5), (4, 2))
+    assert (total[0][-1], total[1][-1]) == (4, 2)
 
 
 def test_sum_zero_identity():
-    a = ((0, 1), (3, 7))
+    a = vec((0, 1), (3, 7))
     m = _holding(F11, [a, ()])
     assert m.signed_sum([]) == ()
     assert m.signed_sum([1]) == ()
@@ -61,27 +63,27 @@ def test_sum_zero_identity():
 
 def test_sum_self_cancellation_over_z2():
     # over Z_2 the signs collapse: a - a and a + a both vanish
-    m = _holding(F2, [((0, 1),)])
+    m = _holding(F2, [vec((0, 1))])
     assert m.signed_sum([0, 0]) == ()
-    assert m.signed_sum([0, ("unit", 1), 0]) == ((1, 1),)
+    assert m.signed_sum([0, ("unit", 1), 0]) == vec((1, 1))
 
 
 def test_scale_examples():
     # a kill with a_bd = a + (6, c) turns the unit column of row 6 into
     # lambda * a, lambda = -1/c: c = 5 gives lambda = 2, c = 10 gives 1
     a = ((0, 3), (5, 6))
-    for c, scaled in ((5, ((0, 6), (5, 1))), (10, a)):
+    for c, scaled in ((5, vec((0, 6), (5, 1))), (10, vec(*a))):
         m = CompressedAnnotationMatrix(F11, debug=True)
         for slot in range(7):
             m.create_cocycle(slot, slot)
-        assert m.kill_cocycle(a + ((6, c),)) == 6
+        assert m.kill_cocycle(vec(*a, (6, c))) == 6
         assert m.find_annotation(6) == scaled
 
 
 def test_negate():
     # an odd position negates its term
-    m = _holding(F11, [(), ((0, 3), (2, 4))])
-    assert m.signed_sum([0, 1]) == ((0, 8), (2, 7))
+    m = _holding(F11, [(), vec((0, 3), (2, 4))])
+    assert m.signed_sum([0, 1]) == vec((0, 8), (2, 7))
     assert m.signed_sum([0, 0]) == ()
 
 
@@ -91,7 +93,7 @@ def _vectors(p):
         st.integers(min_value=1, max_value=p - 1),
         max_size=8,
     )
-    return entries.map(lambda d: tuple(sorted(d.items())))
+    return entries.map(lambda d: vec(*sorted(d.items())))
 
 
 @settings(max_examples=300)
@@ -101,13 +103,15 @@ def test_sum_commutes_and_is_canonical(a, b):
     m = _holding(F11, [a, b, ()])
     left = m.signed_sum([0, 2, 1])
     assert left == m.signed_sum([1, 2, 0])
-    rows = [r for r, _ in left]
+    assert left == () or (len(left) == 2 and len(left[0]) == len(left[1]) > 0)
+    entries = list(zip(*left))
+    rows = [r for r, _ in entries]
     assert rows == sorted(set(rows))
-    assert all(0 < c < 11 for _, c in left)
-    expected = {r: c for r, c in a}
-    for r, c in b:
+    assert all(0 < c < 11 for _, c in entries)
+    expected = {r: c for r, c in zip(*a)}
+    for r, c in zip(*b):
         expected[r] = (expected.get(r, 0) + c) % 11
-    assert left == tuple(sorted((r, c) for r, c in expected.items() if c))
+    assert left == vec(*sorted((r, c) for r, c in expected.items() if c))
 
 
 @settings(max_examples=300)
@@ -139,18 +143,18 @@ def test_create_cocycle_uses_the_given_row():
     # gaps and all, and a live row is refused with no change
     m = CompressedAnnotationMatrix(F2, debug=True)
     m.create_cocycle("a", 5)
-    assert m.find_annotation("a") == ((5, 1),)
+    assert m.find_annotation("a") == vec((5, 1))
     assert m.live_row_count == 1
     m.create_cocycle("b", 8)
-    assert m.find_annotation("b") == ((8, 1),)
+    assert m.find_annotation("b") == vec((8, 1))
     assert m.live_row_count == 2
     with pytest.raises(InvariantViolation):
         m.create_cocycle("c", 5)
     assert not m.is_assigned("c")
     assert (m.live_row_count, m.distinct_column_count, m.nonzero_count) == (2, 2, 2)
     # the maximal row names the youngest class
-    assert m.kill_cocycle(((5, 1), (8, 1))) == 8
-    assert m.find_annotation("b") == ((5, 1),)
+    assert m.kill_cocycle(vec((5, 1), (8, 1))) == 8
+    assert m.find_annotation("b") == vec((5, 1))
 
 
 def test_create_rejects_assigned_slot():
@@ -177,10 +181,26 @@ def test_assign_zero_single_class():
     assert m.distinct_column_count == 0
 
 
+def test_holds_shared_zero_only_after_assign_zero_or_a_zero_fold():
+    m = CompressedAnnotationMatrix(F11, debug=True)
+    m.create_cocycle("a", 0)
+    m.assign_zero("z")
+    # a fold whose other slots sum to zero leaves (), a nonzero sum does not
+    assert m.fold("f", 1, ["z", "f"])
+    assert m.fold("g", 2, ["g", "a"])  # s = -a, and g gets -s = a
+    assert m.find_annotation("g") == vec((0, 1))
+    assert [m.holds_shared_zero(s) for s in "zfga"] == [True, True, False, False]
+    # a column that a kill cancels holds () in a column of its own
+    m.kill_cocycle(vec((0, 1)))
+    assert m.find_annotation("a") == ()
+    assert not m.holds_shared_zero("a")
+    assert not m.holds_shared_zero("ghost")
+
+
 def test_kill_zeroes_single_column():
     m = CompressedAnnotationMatrix(F2, debug=True)
     m.create_cocycle("a", 0)
-    assert m.kill_cocycle(((0, 1),)) == 0
+    assert m.kill_cocycle(vec((0, 1))) == 0
     assert m.live_row_count == 0
     assert m.distinct_column_count == 0
     assert m.find_annotation("a") == ()
@@ -198,10 +218,14 @@ def test_kill_rejects_a_dead_row_before_any_change():
     m = CompressedAnnotationMatrix(F11, debug=True)
     m.create_cocycle("a", 0)
     m.create_cocycle("c", 2)
-    for a_bd, dead in ((((1, 3), (2, 4)), 1), (((0, 1), (1, 3)), 1), (((2, 1), (3, 1)), 3)):
+    for a_bd, dead in (
+        (vec((1, 3), (2, 4)), 1),
+        (vec((0, 1), (1, 3)), 1),
+        (vec((2, 1), (3, 1)), 3),
+    ):
         with pytest.raises(InvariantViolation, match=f"^row {dead} is not live$"):
             m.kill_cocycle(a_bd)
-        assert [m.find_annotation(s) for s in "ac"] == [((0, 1),), ((2, 1),)]
+        assert [m.find_annotation(s) for s in "ac"] == [vec((0, 1)), vec((2, 1))]
         assert (m.live_row_count, m.distinct_column_count, m.nonzero_count) == (2, 2, 2)
         m.check_invariants()
 
@@ -211,9 +235,9 @@ def test_kill_merges_colliding_columns_z2():
     m = CompressedAnnotationMatrix(F2, debug=True)
     m.create_cocycle("a", 0)
     m.create_cocycle("b", 1)
-    assert m.kill_cocycle(((0, 1), (1, 1))) == 1
-    assert m.find_annotation("a") == ((0, 1),)
-    assert m.find_annotation("b") == ((0, 1),)
+    assert m.kill_cocycle(vec((0, 1), (1, 1))) == 1
+    assert m.find_annotation("a") == vec((0, 1))
+    assert m.find_annotation("b") == vec((0, 1))
     assert m.distinct_column_count == 1
     assert m.live_row_count == 1
 
@@ -226,13 +250,13 @@ def test_kill_updates_multi_entry_column_z2():
     m.create_cocycle("a", 0)
     m.create_cocycle("b", 1)
     m.create_cocycle("c", 2)
-    m.kill_cocycle(((0, 1), (1, 1), (2, 1)))  # column of "c" -> [(0,1),(1,1)]
-    assert m.find_annotation("c") == ((0, 1), (1, 1))
+    m.kill_cocycle(vec((0, 1), (1, 1), (2, 1)))  # column of "c" -> [(0,1),(1,1)]
+    assert m.find_annotation("c") == vec((0, 1), (1, 1))
     assert m.distinct_column_count == 3
-    assert m.kill_cocycle(((1, 1),)) == 1
-    assert m.find_annotation("a") == ((0, 1),)
+    assert m.kill_cocycle(vec((1, 1))) == 1
+    assert m.find_annotation("a") == vec((0, 1))
     assert m.find_annotation("b") == ()
-    assert m.find_annotation("c") == ((0, 1),)
+    assert m.find_annotation("c") == vec((0, 1))
     assert m.distinct_column_count == 1
     assert m.live_row_count == 1
 
@@ -243,13 +267,13 @@ def test_forward_chain_followed_and_compressed():
     m = CompressedAnnotationMatrix(F2, debug=True)
     for row, slot in enumerate("wxab"):
         m.create_cocycle(slot, row)
-    m.kill_cocycle(((2, 1), (3, 1)))  # b's column becomes a's
-    m.kill_cocycle(((1, 1), (2, 1)))  # a's column becomes x's
-    m.kill_cocycle(((0, 1), (1, 1)))  # x's column becomes w's
-    assert m.find_annotation("b") == ((0, 1),)
+    m.kill_cocycle(vec((2, 1), (3, 1)))  # b's column becomes a's
+    m.kill_cocycle(vec((1, 1), (2, 1)))  # a's column becomes x's
+    m.kill_cocycle(vec((0, 1), (1, 1)))  # x's column becomes w's
+    assert m.find_annotation("b") == vec((0, 1))
     assert m._slots["b"] is m._slots["w"]  # compressed onto the chain's end
     for slot in "wxa":
-        assert m.find_annotation(slot) == ((0, 1),)
+        assert m.find_annotation(slot) == vec((0, 1))
     assert m.distinct_column_count == 1
 
 
@@ -260,9 +284,9 @@ def test_kill_arithmetic_z11():
     m = CompressedAnnotationMatrix(F11, debug=True)
     m.create_cocycle("a", 0)
     m.create_cocycle("b", 1)
-    assert m.kill_cocycle(((0, 3), (1, 4))) == 1
-    assert m.find_annotation("b") == ((0, 2),)
-    assert m.find_annotation("a") == ((0, 1),)
+    assert m.kill_cocycle(vec((0, 3), (1, 4))) == 1
+    assert m.find_annotation("b") == vec((0, 2))
+    assert m.find_annotation("a") == vec((0, 1))
     assert m.live_row_count == 1
 
 
@@ -275,12 +299,12 @@ def test_kill_scaling_z11_matches_scalar_oracle():
     for row, slot in enumerate("abcd"):
         m.create_cocycle(slot, row)
     # d = [(3,1)] receives -1 * [(2,6),(3,1)]: A = [(2,5)]
-    assert m.kill_cocycle(((2, 6), (3, 1))) == 3
-    assert m.find_annotation("d") == ((2, 5),)
-    assert m.kill_cocycle(((0, 3), (2, 4))) == 2
-    assert m.find_annotation("d") == ((0, 10),)
+    assert m.kill_cocycle(vec((2, 6), (3, 1))) == 3
+    assert m.find_annotation("d") == vec((2, 5))
+    assert m.kill_cocycle(vec((0, 3), (2, 4))) == 2
+    assert m.find_annotation("d") == vec((0, 10))
     # c = [(2,1)]: -1/4 = 8, so c becomes [(0, 3*8 = 24 = 2)]
-    assert m.find_annotation("c") == ((0, 2),)
+    assert m.find_annotation("c") == vec((0, 2))
 
 
 def test_kill_field_ops_z11_hand_trace():
@@ -292,14 +316,14 @@ def test_kill_field_ops_z11_hand_trace():
     for row, slot in enumerate("abc"):
         m.create_cocycle(slot, row)
     # c = [(2,1)] receives -1 * a_bd: c = [(0,10),(1,10)]
-    m.kill_cocycle(((0, 1), (1, 1), (2, 1)))
-    assert m.find_annotation("c") == ((0, 10), (1, 10))
+    m.kill_cocycle(vec((0, 1), (1, 1), (2, 1)))
+    assert m.find_annotation("c") == vec((0, 10), (1, 10))
     before = field.ops
     # row 1 holds b (f = 1) and c (f = 10); c_j = 3, inv(3) = 4
-    assert m.kill_cocycle(((0, 3), (1, 3))) == 1
+    assert m.kill_cocycle(vec((0, 3), (1, 3))) == 1
     # b = [(1,1)]: lambda = -1*4 = 7; row 0: 7*3 = 21 = 10; shared row 1
     # cancels: 1 + 7*3 = 22 = 0. 1 neg + 1 div + 2 mul + 1 add = 5
-    assert m.find_annotation("b") == ((0, 10),)
+    assert m.find_annotation("b") == vec((0, 10))
     # c: lambda = -10*4 = -40 = 4; shared row 0 cancels: 10 + 4*3 = 22 = 0,
     # and row 1 too: 10 + 4*3 = 0. 1 neg + 1 div + 2 mul + 2 add = 6
     assert m.find_annotation("c") == ()
@@ -311,9 +335,9 @@ def test_row_rings_empty_after_kill():
     m = CompressedAnnotationMatrix(F11, debug=True)
     for slot in range(4):
         m.create_cocycle(slot, slot)
-    m.kill_cocycle(((0, 2), (1, 5), (3, 7)))
+    m.kill_cocycle(vec((0, 2), (1, 5), (3, 7)))
     for slot in range(4):
-        assert all(row != 3 for row, _ in m.find_annotation(slot))
+        assert all(row != 3 for row, _ in zip(*m.find_annotation(slot)))
     assert m.live_row_count == 3
     m.check_invariants()
 
@@ -326,7 +350,22 @@ def _drop_row_entry(m):
 def _noncanonical_column_coefficient(m):
     # slot "a"'s column, re-stored under its key with p in row 0
     column = m._columns.pop(m.find_annotation("a"))
-    column.key = ((0, F11.p),)
+    column.key = vec((0, F11.p))
+    m._columns[column.key] = column
+
+
+def _coefficients_longer_than_rows(m):
+    # slot "a"'s column, re-stored with a coefficient that has no row
+    column = m._columns.pop(m.find_annotation("a"))
+    column.key = ((0,), (1, 1))
+    m._columns[column.key] = column
+
+
+def _store_empty_rows_and_coefficients(m):
+    # a zero slot pointed at a stored column of no rows: a zero vector that
+    # is not ()
+    m.assign_zero("z")
+    column = m._slots["z"] = _Column(((), ()))
     m._columns[column.key] = column
 
 
@@ -350,15 +389,16 @@ def _point_at_unindexed_column(m):
 @pytest.mark.parametrize(
     "corrupt",
     [_drop_row_entry, _noncanonical_column_coefficient,
+     _coefficients_longer_than_rows, _store_empty_rows_and_coefficients,
      _list_column_without_entry, _bump_nonzero_count,
      _point_at_unindexed_column],
 )
 def test_audit_catches_corruption(corrupt):
-    # row 0 holds two columns, ((0, 1),) and ((0, 2),); row 2 holds one
+    # row 0 holds two columns, vec((0, 1)) and vec((0, 2)); row 2 holds one
     m = CompressedAnnotationMatrix(F11, debug=True)
     for row, slot in enumerate("abc"):
         m.create_cocycle(slot, row)
-    m.kill_cocycle(((0, 3), (1, 4)))
+    m.kill_cocycle(vec((0, 3), (1, 4)))
     assert len(m._rows[0]) == 2
     m.check_invariants()
     corrupt(m)
@@ -402,17 +442,21 @@ def _programs(p):
 
 
 def _vector(x: dict[int, int]):
-    return tuple(sorted((row, c) for row, c in x.items() if c))
+    return vec(*sorted((row, c) for row, c in x.items() if c))
+
+
+def _dense(v) -> dict[int, int]:
+    return dict(zip(*v))
 
 
 def _dense_kill(x: dict[int, int], a_bd, p) -> dict[int, int]:
     # x - (x_j / c_j) * a_bd, with Fermat's inverse
-    row_j, c_j = a_bd[-1]
+    row_j, c_j = a_bd[0][-1], a_bd[1][-1]
     lam = -x.get(row_j, 0) * pow(c_j, p - 2, p)
     out = dict(x)
-    for row, a in a_bd:
+    for row, a in zip(*a_bd):
         out[row] = (out.get(row, 0) + lam * a) % p
-    return dict(_vector(out))
+    return _dense(_vector(out))
 
 
 def _paths(slots_per_vector: Counter, a_bd, p) -> set[str]:
@@ -420,11 +464,11 @@ def _paths(slots_per_vector: Counter, a_bd, p) -> set[str]:
     that already stands for two or more slots (an earlier merge) adds the
     paths "remerge" when it collides again and "cancel_merged" when it
     cancels."""
-    row_j = a_bd[-1][0]
-    after = {v: _vector(_dense_kill(dict(v), a_bd, p)) for v in slots_per_vector}
+    row_j = a_bd[0][-1]
+    after = {v: _vector(_dense_kill(_dense(v), a_bd, p)) for v in slots_per_vector}
     paths = set()
     for v, w in after.items():
-        if dict(v).get(row_j):
+        if _dense(v).get(row_j):
             if not w:
                 path = "cancel"
             elif list(after.values()).count(w) > 1:
@@ -449,7 +493,7 @@ def _model_signed_sum(vectors, p) -> tuple[tuple, int]:
         ops += len(acc.keys() & x.keys())
         for row, c in x.items():
             acc[row] = (acc.get(row, 0) + c) % p
-        acc = dict(_vector(acc))
+        acc = _dense(_vector(acc))
     return _vector(acc), ops
 
 
@@ -510,8 +554,8 @@ def _apply(m, model, live, rows, op, p) -> set[str]:
     if not a_bd:
         return set()
     paths = _paths(Counter(_vector(x) for x in nonzero), a_bd, p)
-    assert m.kill_cocycle(a_bd) == a_bd[-1][0]
-    live.remove(a_bd[-1][0])
+    assert m.kill_cocycle(a_bd) == a_bd[0][-1]
+    live.remove(a_bd[0][-1])
     for slot, x in model.items():
         model[slot] = _dense_kill(x, a_bd, p)
     return paths
@@ -587,7 +631,7 @@ def test_signed_sum_follows_and_compresses_forwards(p):
     m.assign_zero(6)
     model[6] = {}
     for i in (3, 2, 1, 0):
-        a_bd = ((i, p - 1), (i + 1, 1))
+        a_bd = vec((i, p - 1), (i + 1, 1))
         m.kill_cocycle(a_bd)
         model = {slot: _dense_kill(x, a_bd, p) for slot, x in model.items()}
     assert _links(m, 4) == 4
@@ -694,8 +738,8 @@ def _run_fold(p, fold_program) -> bool:
     twin.create_cocycle(new, row)
     a_bd = twin.signed_sum(faces)
     # the new slot's unit term keeps the sum nonzero
-    assert a_bd and dict(a_bd)[row] in (1, p - 1)
-    assert folded == (a_bd[-1][0] == row)
+    assert a_bd and _dense(a_bd)[row] in (1, p - 1)
+    assert folded == (a_bd[0][-1] == row)
     if folded:
         assert twin.kill_cocycle(a_bd) == row
         model[new] = _dense_kill({row: 1}, a_bd, p)
@@ -752,13 +796,13 @@ def test_fold_checks_its_slot_row_and_other_slots():
     # zero, gives s = (0, 1) and c = -1, so b's column is s = a's column
     m.assign_zero("z")
     assert m.fold("b", row, ["a", "b", "z"])
-    assert m.find_annotation("b") == ((0, 1),)
+    assert m.find_annotation("b") == vec((0, 1))
     assert m._slots["b"] is m._slots["a"]
     assert field.ops == 4
     # d at the even position 0 of d - z + a: s = (0, 1) and c = 1, so d
     # gets -s = (0, 10), for 3 ops and |s| + 1 = 2 multiplications by
     # -1/c = 10 != 1
     assert m.fold("d", 2, ["d", "z", "a"])
-    assert m.find_annotation("d") == ((0, 10),)
+    assert m.find_annotation("d") == vec((0, 10))
     assert field.ops == 4 + 3 + 2
     assert (m.live_row_count, m.distinct_column_count, m.nonzero_count) == (1, 2, 2)

@@ -85,43 +85,33 @@ def test_repeated_runs_are_byte_identical(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
-# vertices and edges at 0.0 and -0.0, which compare equal: the sign each
-# mode prints follows which simplices it pairs, and must not be lost on
-# the way to the file
+# vertices and edges at 0.0 and -0.0, which compare equal, so which of
+# them a mode pairs would decide the sign it prints: -0.0 is read as 0.0,
+# and every mode writes the same bytes
 SIGNED_ZEROS = "0 0\n-0.0 1\n0.0 2\n-0.0 3\n-0.0 0 1\n0.0 2 3\n0.5 1 2\n"
+SIGNED_ZEROS_DIAGRAM = "0 0.0 0.0\n0 0.0 0.0\n0 0.0 0.5\n0 0.0 inf\n"
 
 
 @pytest.mark.parametrize(
-    "modes,expected",
+    "modes",
     [
-        (
-            ["--lazy", "--reorder"],
-            "0 0.0 -0.0\n0 0.0 0.0\n0 -0.0 0.5\n0 -0.0 inf\n",
-        ),
-        (
-            ["--no-lazy", "--reorder"],
-            "0 0.0 -0.0\n0 0.0 0.0\n0 -0.0 0.5\n0 -0.0 inf\n",
-        ),
-        (
-            ["--lazy", "--no-reorder"],
-            "0 -0.0 -0.0\n0 -0.0 0.0\n0 0.0 0.5\n0 0.0 inf\n",
-        ),
-        (
-            ["--no-lazy", "--no-reorder"],
-            "0 -0.0 -0.0\n0 -0.0 0.0\n0 0.0 0.5\n0 0.0 inf\n",
-        ),
+        ["--lazy", "--reorder"],
+        ["--no-lazy", "--reorder"],
+        ["--lazy", "--no-reorder"],
+        ["--no-lazy", "--no-reorder"],
     ],
     ids=["lazy-reorder", "reorder", "lazy", "plain"],
 )
-def test_signed_zeros_written_with_their_sign(tmp_path, modes, expected):
+def test_signed_zeros_written_with_their_sign(tmp_path, modes):
     flt = tmp_path / "zeros.flt"
     flt.write_text(SIGNED_ZEROS)
     base = ["--input", str(flt), "--format", "filtration", "--field", "2", *modes]
     out = tmp_path / "all.dgm"
     assert run_cli(*base, "--emit-zero-length", "--output", str(out)) == 0
-    assert out.read_text() == expected
+    assert out.read_text() == SIGNED_ZEROS_DIAGRAM
     assert run_cli(*base, "--output", str(out)) == 0
-    assert out.read_text() == "".join(expected.splitlines(keepends=True)[2:])
+    nonzero_lengths = SIGNED_ZEROS_DIAGRAM.splitlines(keepends=True)[2:]
+    assert out.read_text() == "".join(nonzero_lengths)
 
 
 def test_points_mode(tmp_path):

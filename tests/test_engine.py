@@ -30,6 +30,7 @@ from tests.fixtures import (
     path_3,
     random_rips_corpus,
     torus_point_sample,
+    vec,
 )
 
 F2 = PrimeField(2)
@@ -70,7 +71,7 @@ def test_vertex_into_empty_complex_creates_row_zero():
     t.finalize()
     engine = PersistenceEngine(t, F2, STANDARD)
     engine.insert((0,))
-    assert engine._matrices[0].find_annotation(t.key((0,))) == ((0, 1),)
+    assert engine._matrices[0].find_annotation(t.key((0,))) == vec((0, 1))
 
 
 def test_edge_kills_younger_vertex_class(killed_rows):
@@ -123,6 +124,46 @@ def test_missing_face_detected():
     engine.insert((1,))
     with pytest.raises(MissingFace, match=r"face \(0,\) of \(0, 1\)"):
         engine.insert((0, 1))
+
+
+def test_missing_face_named_when_every_other_face_is_zero():
+    # (0, 1) and (0, 2) are killers, so they hold the zero column; the
+    # triangle's sum is not skipped as zero but reports the missing (1, 2)
+    c = full_triangle()
+    engine = PersistenceEngine(c, F2, STANDARD)
+    for simplex in [(0,), (1,), (2,), (0, 1), (0, 2)]:
+        engine.insert(simplex)
+    assert engine._zero_keys == {c.key((0, 1)), c.key((0, 2))}
+    with pytest.raises(MissingFace, match=r"face \(1, 2\) of \(0, 1, 2\)"):
+        engine.insert((0, 1, 2))
+
+
+def test_zero_keys_hold_the_zero_annotation(monkeypatch):
+    # the engine skips the boundary sum of a simplex whose faces are all in
+    # its zero set, so every key there must hold (): killers, and folds
+    # that leave (), which lazy insertion reaches on the Rips corpus
+    fold = CompressedAnnotationMatrix.fold
+    folded = set()
+
+    def recording_fold(self, slot, row, faces):
+        applied = fold(self, slot, row, faces)
+        if applied:
+            folded.add(slot)
+        return applied
+
+    monkeypatch.setattr(CompressedAnnotationMatrix, "fold", recording_fold)
+    zero_folds = 0
+    for c in random_rips_corpus(count=10, seed=3):
+        folded.clear()
+        engine = PersistenceEngine(c, F11)
+        for simplex in c.filtration_order():
+            engine.lazy_evaluation(simplex)
+        zero = engine._zero_keys
+        zero_folds += len(zero & folded)
+        for key in zero:
+            assert engine._matrices[c.dim_of[key]].find_annotation(key) == ()
+        assert diagram_equal(engine.finish(), oracle_reduce(c, F11))
+    assert zero_folds
 
 
 @pytest.mark.parametrize(
@@ -242,7 +283,8 @@ def test_killed_row_is_maximal_row_of_boundary(killed_rows):
             kills = len(killed_rows)
             engine.insert(simplex)
             if a_bd:
-                assert killed_rows[kills:] == [a_bd[-1][0]]
+                rows, _ = a_bd
+                assert killed_rows[kills:] == [rows[-1]]
             else:
                 assert len(killed_rows) == kills
 

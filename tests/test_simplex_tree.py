@@ -212,3 +212,14 @@ def test_insert_rejects_non_finite_value(value):
     with pytest.raises(ValueError, match="finite"):
         t.insert_simplex([0], value)
     assert len(t) == 0
+
+
+def test_negative_zero_stored_as_zero():
+    # -0.0 == 0.0, so keeping its sign would let the insertion order decide
+    # which zero a diagram prints
+    t = SimplexTree()
+    t.insert_simplex([0], -0.0)
+    t.insert_simplex([1], 0.0)
+    t.insert_simplex([0, 1], -0.0)
+    t.finalize()
+    assert [math.copysign(1.0, v) for v in t.value_of] == [1.0, 1.0, 1.0]
