@@ -14,13 +14,15 @@ the columns with an entry there, so that destroying a cocycle touches only
 the columns that actually meet its row (the paper's doubly linked row
 lists, with the same O(1) insert and delete). Each slot points straight at
 a column; killers share one zero column. A column that becomes equal to a
-stored one forwards to it, so the forwarding pointers form a union-find
-forest over columns, walked with path compression.
+stored one forwards to it, and one that a kill cancels forwards to the
+zero column, so the forwarding pointers form a union-find forest over
+columns, walked with path compression.
 
-A signed boundary sum reads each face's column straight from the slot map,
-and a sum with at most one nonzero term is that term, negated at an odd
-position, with no accumulation: on flag complexes most face annotations
-are zero, so this is the common case.
+A signed boundary sum over slots known to hold the zero column (assigned
+it, or found there by a lookup) is () at once. Any other sum reads each
+face's column straight from the slot map, and a sum with at most one
+nonzero term is that term, negated at an odd position, with no
+accumulation: on flag complexes most face annotations are zero.
 
 Destroying a cocycle with boundary annotation a_bd costs one modular
 inverse, then O(|column| + |a_bd|) per touched column: one merge pass over
@@ -61,9 +63,9 @@ _PAST_LAST = (math.inf,)
 class _Column:
     """One annotation vector shared by the slots that point at it.
 
-    A column is stored (the only one with its nonzero key), zero (key
-    ``()``, stored nowhere) or forwarded: ``forward`` is the column it
-    became equal to, and it keeps no key and no row entries.
+    A column is stored (the only one with its nonzero key), the zero
+    column (key ``()``, stored nowhere) or forwarded: ``forward`` is the
+    column it became equal to, and it keeps no key and no row entries.
     Hashed by identity, so a row dict keyed by columns costs O(1) per
     operation whatever the vector's length.
     """
@@ -81,9 +83,10 @@ class CompressedAnnotationMatrix:
     Slots are caller-chosen hashable ids (one per simplex). Each slot is
     assigned exactly once, either to a fresh unit column (creation) or to
     the shared zero column (destruction); later updates may forward a
-    column to an equal one. The caller gives each class a row above those
-    of every older class and never reuses one, so the maximal row of a
-    boundary annotation is always the youngest contributing cocycle.
+    column to an equal one, or to the zero column when it cancels. The
+    caller gives each class a row above those of every older class and
+    never reuses one, so the maximal row of a boundary annotation is
+    always the youngest contributing cocycle.
     """
 
     def __init__(self, field: PrimeField, debug: bool = False):
@@ -95,6 +98,8 @@ class CompressedAnnotationMatrix:
         self._rows: dict[int, dict[_Column, None]] = {}
         self._slots: dict[object, _Column] = {}
         self._zero = _Column(())
+        # slots assigned the zero column or found there by a lookup
+        self._zero_slots: set = set()
         self._nnz = 0
 
     # ------------------------------------------------------------------
@@ -115,12 +120,6 @@ class CompressedAnnotationMatrix:
 
     def is_assigned(self, slot) -> bool:
         return slot in self._slots
-
-    def holds_shared_zero(self, slot) -> bool:
-        """Whether ``slot`` was assigned the zero column, by ``assign_zero``
-        or by a fold that left (). A slot whose own column a kill cancels
-        holds () too but is not counted."""
-        return self._slots.get(slot) is self._zero
 
     # ------------------------------------------------------------------
     # operations
@@ -155,7 +154,9 @@ class CompressedAnnotationMatrix:
     def signed_sum(self, slots) -> AnnotationVector:
         """Sum over j of (-1)^j times the annotation of ``slots[j]``.
 
-        Each slot's column is read from the slot map directly, following
+        A sum over slots known to hold the zero column (assigned it, or
+        found there by an earlier lookup) is () with no lookup. Otherwise
+        each slot's column is read from the slot map directly, following
         and compressing its forwards as ``find_annotation`` does. When at
         most one term is nonzero, that term, negated at an odd position, is
         the sum. Otherwise one dict accumulates the sum with inline
@@ -165,6 +166,8 @@ class CompressedAnnotationMatrix:
         addition per row that a term shares with the running sum. Raises
         UnassignedSlot at the first slot without an annotation.
         """
+        if self._zero_slots.issuperset(slots):
+            return ()
         vec, ops = self._sum(slots)
         if ops:
             self._field.charge(ops)
@@ -217,10 +220,11 @@ class CompressedAnnotationMatrix:
 
         Let (j, c) be the maximal-row entry of the argument. Every column
         holding f != 0 in row j receives ``-f/c`` times the argument, which
-        zeroes row j everywhere at once; a column that cancels takes the
-        zero key, and one that collides with a stored column forwards to
-        it. Returns j. Each f is read from the column's key, its only copy;
-        the row index changes only where an entry appears or cancels.
+        zeroes row j everywhere at once; a column that cancels forwards to
+        the zero column, and one that collides with a stored column
+        forwards to it. Returns j. Each f is read from the column's key,
+        its only copy; the row index changes only where an entry appears
+        or cancels.
 
         The arithmetic is done inline; the field is charged the operations
         of the update: per touched column a negation and a division for
@@ -287,9 +291,9 @@ class CompressedAnnotationMatrix:
             new_rows = tuple(out_r) + key_rows[i:]
             self._nnz += len(new_rows) - len(key_rows)
             new_key = (new_rows, tuple(out_c) + key_coeffs[i:]) if new_rows else ()
-            existing = columns.setdefault(new_key, column) if new_key else column
+            existing = columns.setdefault(new_key, column) if new_key else self._zero
             if existing is not column:
-                # equal to a stored column: drop this copy, keeping no key
+                # cancelled or equal to a stored column: drop this copy
                 for row in new_rows:
                     del rows[row][column]
                 self._nnz -= len(new_rows)
@@ -315,6 +319,7 @@ class CompressedAnnotationMatrix:
         # column equal to vec, or a new stored column entered in vec's rows
         if not vec:
             column = self._zero
+            self._zero_slots.add(slot)
         elif vec in self._columns:
             column = self._columns[vec]
         else:
@@ -379,6 +384,8 @@ class CompressedAnnotationMatrix:
         while column is not root:
             column.forward, column = root, column.forward
         self._slots[slot] = root
+        if root is self._zero:
+            self._zero_slots.add(slot)
         return root
 
     # ------------------------------------------------------------------
@@ -415,14 +422,17 @@ class CompressedAnnotationMatrix:
             stored += len(rows)
         if not (self._nnz == stored == indexed):
             raise InvariantViolation("nonzero counter out of sync")
-        # every slot's chain ends at a zero column or a stored one, and every
-        # stored column ends some chain; so a forwarded column is neither
-        # stored nor, by the row check above, in any row
-        ends = set()
-        for column in self._slots.values():
+        # every slot's chain ends at the zero column or a stored one, and
+        # every stored column ends some chain; so a forwarded column is
+        # neither stored nor, by the row check above, in any row
+        ends = {}
+        for slot, column in self._slots.items():
             while column.forward is not None:
                 column = column.forward
-            if column.key:
-                ends.add(column)
-        if ends != set(self._columns.values()):
+            ends[slot] = column
+        if {end for end in ends.values() if end.key} != set(self._columns.values()):
             raise InvariantViolation("stored columns and nonzero chain ends differ")
+        if any(not end.key and end is not self._zero for end in ends.values()):
+            raise InvariantViolation("a chain ends at a zero column of its own")
+        if any(ends.get(slot) is not self._zero for slot in self._zero_slots):
+            raise InvariantViolation("a listed zero slot does not resolve to zero")

@@ -4,8 +4,8 @@ Simplices enter in filtration order. For each one the annotation matrix
 one dimension down returns the signed sum of its boundary faces'
 annotations (signs collapse over Z_2 but the code path is field-generic);
 the engine only tests whether the sum vanishes and hands it back to the
-matrix. A simplex whose faces all hold the matrix's shared zero column
-(killers, and folds that leave zero) takes the zero sum with no lookup. A vanishing sum starts a fresh cocycle class in the simplex's
+matrix, which answers a sum over faces it knows to hold zero with no
+lookup. A vanishing sum starts a fresh cocycle class in the simplex's
 dimension, a nonvanishing sum destroys the youngest class contributing to
 it one dimension below and pairs that class's creator with the new
 simplex. Live classes at the end become essential pairs, listed per
@@ -49,6 +49,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NoReturn
 
 from .annotations import CompressedAnnotationMatrix
 from .diagram import PersistenceDiagram, PersistencePair
@@ -102,10 +103,8 @@ class PersistenceEngine:
         ]
         # per dimension: live row -> creator key
         self._creators: list[dict[int, int]] = [{} for _ in range(top + 1)]
-        self._top_inserted: set[int] = set()
-        # keys below the top that hold the shared zero column: killers, and
-        # folds that leave ()
-        self._zero_keys: set[int] = set()
+        # per key: 1 once the simplex has arrived, in any dimension
+        self._arrived = bytearray(len(complex))
         self._pairs: list[PersistencePair] = []
         self._arrivals = itertools.count()  # the next arriving simplex's row
         self._marked: dict[int, int] = {}  # deferred key -> its arrival row
@@ -223,19 +222,16 @@ class PersistenceEngine:
             if self._fold(key, youngest, faces):
                 return
             self.lazy_evaluation(self._simplex_of[youngest])
-        # a boundary of zero faces (or none) sums to zero with no lookup; an
-        # uninserted face is never in the set, so it still raises MissingFace
-        if self._zero_keys.issuperset(faces):
-            a_bd = ()
-        else:
-            a_bd = self._boundary_annotation(key)
         dim = self._dim_of[key]
-        top = dim == self._top
-        inserted = key in self._top_inserted if top else self._matrices[dim].is_assigned(key)
-        if inserted:
+        try:
+            a_bd = self._matrices[dim - 1].signed_sum(faces) if faces else ()
+        except UnassignedSlot:
+            self._missing_face(key)
+        if self._arrived[key]:
             raise SlotAlreadyAssigned(
                 f"simplex {self._simplex_of[key]} was already inserted"
             )
+        self._arrived[key] = 1
         if not a_bd:
             if defer:
                 marked[key] = row
@@ -269,8 +265,7 @@ class PersistenceEngine:
         except UnassignedSlot:
             return False
         del self._marked[face]
-        if matrix.holds_shared_zero(face):
-            self._zero_keys.add(face)
+        self._arrived[key] = 1
         self._insert_killer(key, dim + 1, face)
         self._sample()
         return True
@@ -278,11 +273,8 @@ class PersistenceEngine:
     def _insert_killer(self, key: int, dim: int, creator: int) -> None:
         # key has the zero annotation and closes the class of creator; a
         # zero-length pair is recorded only when it is emitted
-        if dim == self._top:
-            self._top_inserted.add(key)
-        else:
+        if dim < self._top:
             self._matrices[dim].assign_zero(key)
-            self._zero_keys.add(key)
         birth, death = self._value_of[creator], self._value_of[key]
         if birth != death or self.options.emit_zero_length:
             self._pairs.append(
@@ -291,26 +283,20 @@ class PersistenceEngine:
                 )
             )
 
-    def _boundary_annotation(self, key: int) -> tuple:
+    def _missing_face(self, key: int) -> NoReturn:
+        # names the first face, in boundary order, that was never inserted
         faces = self._faces_of[key]
-        if not faces:
-            return ()
         matrix = self._matrices[len(faces) - 2]
-        try:
-            return matrix.signed_sum(faces)
-        except UnassignedSlot:
-            face = next(f for f in faces if not matrix.is_assigned(f))
-            raise MissingFace(
-                f"face {self._simplex_of[face]} of {self._simplex_of[key]} "
-                "was never inserted"
-            ) from None
+        face = next(f for f in faces if not matrix.is_assigned(f))
+        raise MissingFace(
+            f"face {self._simplex_of[face]} of {self._simplex_of[key]} "
+            "was never inserted"
+        ) from None
 
     def _insert_creator(self, key: int, row: int) -> None:
         dim = self._dim_of[key]
-        if dim == self._top:
-            # never a face, so its annotation is never read: only counted
-            self._top_inserted.add(key)
-        else:
+        # a top creator is never a face, so it needs no column
+        if dim < self._top:
             self._matrices[dim].create_cocycle(key, row)
         self._creators[dim][row] = key
 

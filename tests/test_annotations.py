@@ -181,7 +181,7 @@ def test_assign_zero_single_class():
     assert m.distinct_column_count == 0
 
 
-def test_holds_shared_zero_only_after_assign_zero_or_a_zero_fold():
+def test_zero_slots_list_assigned_zeros_and_found_cancellations():
     m = CompressedAnnotationMatrix(F11, debug=True)
     m.create_cocycle("a", 0)
     m.assign_zero("z")
@@ -189,12 +189,21 @@ def test_holds_shared_zero_only_after_assign_zero_or_a_zero_fold():
     assert m.fold("f", 1, ["z", "f"])
     assert m.fold("g", 2, ["g", "a"])  # s = -a, and g gets -s = a
     assert m.find_annotation("g") == vec((0, 1))
-    assert [m.holds_shared_zero(s) for s in "zfga"] == [True, True, False, False]
-    # a column that a kill cancels holds () in a column of its own
+    assert m._zero_slots == {"z", "f"}
+    # a kill cancels the column that a and g share and forwards it to the
+    # zero column; each slot joins the set only on its own lookup
     m.kill_cocycle(vec((0, 1)))
-    assert m.find_annotation("a") == ()
-    assert not m.holds_shared_zero("a")
-    assert not m.holds_shared_zero("ghost")
+    assert m._zero_slots == {"z", "f"}
+    assert m.signed_sum(["a", "z"]) == ()
+    assert m._zero_slots == {"z", "f", "a"}
+    assert m.find_annotation("g") == ()
+    assert m._zero_slots == {"z", "f", "a", "g"}
+    assert m.distinct_column_count == 0
+    # a sum over listed slots is () with no lookup, but still refuses an
+    # unassigned slot
+    assert m.signed_sum(["g", "a", "f", "z"]) == ()
+    with pytest.raises(UnassignedSlot):
+        m.signed_sum(["z", "ghost"])
 
 
 def test_kill_zeroes_single_column():
@@ -386,12 +395,24 @@ def _point_at_unindexed_column(m):
     m._slots["b"] = _Column(m.find_annotation("a"))
 
 
+def _list_nonzero_slot_as_zero(m):
+    # slot "a" holds a stored nonzero column
+    m._zero_slots.add("a")
+
+
+def _end_chain_at_private_zero(m):
+    # a zero column other than the matrix's own, as a cancelled column
+    # would be if it kept its slots instead of forwarding
+    m._slots["d"] = _Column(())
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [_drop_row_entry, _noncanonical_column_coefficient,
      _coefficients_longer_than_rows, _store_empty_rows_and_coefficients,
      _list_column_without_entry, _bump_nonzero_count,
-     _point_at_unindexed_column],
+     _point_at_unindexed_column, _list_nonzero_slot_as_zero,
+     _end_chain_at_private_zero],
 )
 def test_audit_catches_corruption(corrupt):
     # row 0 holds two columns, vec((0, 1)) and vec((0, 2)); row 2 holds one

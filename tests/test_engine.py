@@ -124,24 +124,30 @@ def test_missing_face_detected():
     engine.insert((1,))
     with pytest.raises(MissingFace, match=r"face \(0,\) of \(0, 1\)"):
         engine.insert((0, 1))
+    # a failed insertion leaves the simplex free for a retry
+    engine.insert((0,))
+    engine.insert((0, 1))
+    assert engine.live_cocycle_count(0) == 1
 
 
 def test_missing_face_named_when_every_other_face_is_zero():
-    # (0, 1) and (0, 2) are killers, so they hold the zero column; the
-    # triangle's sum is not skipped as zero but reports the missing (1, 2)
+    # (0, 1) and (0, 2) are killers, so the edge matrix lists them as zero;
+    # the triangle's sum is not skipped as zero but reports the missing (1, 2)
     c = full_triangle()
     engine = PersistenceEngine(c, F2, STANDARD)
     for simplex in [(0,), (1,), (2,), (0, 1), (0, 2)]:
         engine.insert(simplex)
-    assert engine._zero_keys == {c.key((0, 1)), c.key((0, 2))}
+    assert engine._matrices[1]._zero_slots == {c.key((0, 1)), c.key((0, 2))}
     with pytest.raises(MissingFace, match=r"face \(1, 2\) of \(0, 1, 2\)"):
         engine.insert((0, 1, 2))
 
 
-def test_zero_keys_hold_the_zero_annotation(monkeypatch):
-    # the engine skips the boundary sum of a simplex whose faces are all in
-    # its zero set, so every key there must hold (): killers, and folds
-    # that leave (), which lazy insertion reaches on the Rips corpus
+def test_zero_slots_hold_the_zero_annotation(monkeypatch):
+    # a matrix skips a boundary sum whose slots are all in its zero set, so
+    # every slot there must hold (): killers, folds that leave (), which
+    # lazy insertion reaches on the Rips corpus, and slots whose column a
+    # kill cancelled; once every slot has been looked up, the set is
+    # exactly the slots that hold ()
     fold = CompressedAnnotationMatrix.fold
     folded = set()
 
@@ -158,10 +164,12 @@ def test_zero_keys_hold_the_zero_annotation(monkeypatch):
         engine = PersistenceEngine(c, F11)
         for simplex in c.filtration_order():
             engine.lazy_evaluation(simplex)
-        zero = engine._zero_keys
-        zero_folds += len(zero & folded)
-        for key in zero:
-            assert engine._matrices[c.dim_of[key]].find_annotation(key) == ()
+        for matrix in engine._matrices:
+            zero = set(matrix._zero_slots)
+            zero_folds += len(zero & folded)
+            assert all(matrix.find_annotation(key) == () for key in zero)
+            holding_zero = {k for k in matrix._slots if matrix.find_annotation(k) == ()}
+            assert matrix._zero_slots == holding_zero
         assert diagram_equal(engine.finish(), oracle_reduce(c, F11))
     assert zero_folds
 
@@ -279,7 +287,8 @@ def test_killed_row_is_maximal_row_of_boundary(killed_rows):
             if len(simplex) == 1:
                 engine.insert(simplex)
                 continue
-            a_bd = engine._boundary_annotation(c.key(simplex))
+            faces = c.faces_of[c.key(simplex)]
+            a_bd = engine._matrices[len(simplex) - 2].signed_sum(faces)
             kills = len(killed_rows)
             engine.insert(simplex)
             if a_bd:
@@ -424,17 +433,39 @@ def test_no_annotation_matrix_for_the_top_dimension(options, monkeypatch):
 
 
 @pytest.mark.parametrize("options", MODES, ids=MODE_IDS)
-def test_top_simplex_inserted_twice_rejected(options):
-    # full_triangle's top simplex kills; hollow_triangle's last edge creates
-    for c in (full_triangle(), hollow_triangle()):
+def test_top_simplex_inserted_twice_rejected(options, monkeypatch):
+    # every simplex, not only the top ones that no matrix holds: creators,
+    # killers, and under lazy fold killers, forced creators and deferred
+    # creators; full_triangle's top simplex kills, hollow_triangle's last
+    # edge creates
+    fold = CompressedAnnotationMatrix.fold
+    lazy_evaluation = PersistenceEngine.lazy_evaluation
+    folds = []
+    calls = []
+
+    def counting_fold(self, slot, row, faces):
+        folds.append(fold(self, slot, row, faces))
+        return folds[-1]
+
+    def counting_lazy_evaluation(self, simplex):
+        calls.append(simplex)
+        lazy_evaluation(self, simplex)
+
+    monkeypatch.setattr(CompressedAnnotationMatrix, "fold", counting_fold)
+    monkeypatch.setattr(PersistenceEngine, "lazy_evaluation", counting_lazy_evaluation)
+    forced = deferred = 0
+    for c in canned_complexes().values():
+        calls.clear()
         engine, step = _run(c, options)
+        # under lazy, every call beyond one per simplex forced a marked face
+        forced += len(calls) - (len(c) if options.lazy else 0)
         for simplex in c.filtration_order():
-            if len(simplex) - 1 != c.dimension:
-                continue
             while engine.is_marked(simplex):
+                deferred += 1
                 step(simplex)  # a deferred creator goes in on its second call
             with pytest.raises(SlotAlreadyAssigned):
                 step(simplex)
+    assert (True in folds, forced > 0, deferred > 0) == (options.lazy,) * 3
 
 
 @pytest.mark.parametrize("options", MODES, ids=MODE_IDS)
@@ -555,9 +586,19 @@ VALIDITY_PRIMES = (2, 3, 7919)
 
 def _nonzero_boundary_sums(engine, simplices) -> list:
     """The simplices among ``simplices`` whose faces' annotations have a
-    nonzero signed sum."""
-    key = engine.complex.key
-    return [s for s in simplices if engine._boundary_annotation(key(s))]
+    nonzero signed sum, added up here from each face's ``find_annotation``
+    so that no shortcut of ``signed_sum`` is taken on trust."""
+    c, p = engine.complex, engine.field.p
+    nonzero = []
+    for simplex in simplices:
+        acc = {}
+        for j, face in enumerate(c.faces_of[c.key(simplex)]):
+            annotation = engine._matrices[len(simplex) - 2].find_annotation(face)
+            for row, coeff in zip(*annotation):
+                acc[row] = (acc.get(row, 0) + (-coeff if j % 2 else coeff)) % p
+        if any(acc.values()):
+            nonzero.append(simplex)
+    return nonzero
 
 
 @pytest.mark.parametrize("p", VALIDITY_PRIMES)
