@@ -11,7 +11,7 @@ only inside the package, by the benchmark or by tests stay importable from
 their own modules.
 """
 from .annotations import CompressedAnnotationMatrix
-from .builders import build_rips, pairwise_distances
+from .builders import build_rips
 from .diagram import PersistenceDiagram, PersistencePair, diagram_equal
 from .engine import EngineOptions, PersistenceEngine, compute_persistence
 from .field import PrimeField, is_prime
@@ -44,7 +44,6 @@ __all__ = [
     "format_stats",
     "is_prime",
     "oracle_reduce",
-    "pairwise_distances",
     "read_filtration",
     "read_points",
     "reordered_filtration",

@@ -29,16 +29,6 @@ def _distances(columns, i: int, lo: int, hi: int) -> list[float]:
     return list(map(math.sqrt, acc))
 
 
-def pairwise_distances(points) -> list[list[float]]:
-    """Euclidean distances of an (n, d) cloud as n lists of n floats: the
-    root of the squared differences added left to right from 0.0. NumPy's
-    sum gives the same bits for up to 7 coordinates but may differ in the
-    last bit from 8 on, where it sums in another order."""
-    rows = _rows(points)
-    columns = list(zip(*rows))
-    return [_distances(columns, i, 0, len(rows)) for i in range(len(rows))]
-
-
 def _near(
     rows: list[tuple[float, ...]], max_edge_length: float
 ) -> list[dict[int, float]]:
@@ -81,10 +71,11 @@ def build_rips(points, max_edge_length: float, max_dim: int) -> SimplexTree:
     at most ``max_edge_length`` and its dimension at most ``max_dim``; its
     filtration value is that diameter, with vertices at 0. Only the pairs
     that a sweep along one coordinate cannot rule out are measured (see
-    _near), each to the bits that pairwise_distances gives. Cliques are
-    grown by intersecting sorted upper-neighbor lists, so enumeration is
-    lexicographic and duplicate-free, and the result is closed and
-    monotone by construction. Each candidate vertex carries its largest
+    _near), each as the square root of the squared coordinate differences
+    added left to right from 0.0. Cliques are grown by intersecting sorted
+    upper-neighbor lists, so enumeration is lexicographic and
+    duplicate-free, and the result is closed and monotone by
+    construction. Each candidate vertex carries its largest
     distance to the clique, so a grown clique's diameter takes one
     comparison; the finished value dict goes to the tree in one piece.
     The cyclic garbage collector is left running: pausing it here only

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NoReturn
 
 from .annotations import CompressedAnnotationMatrix
@@ -57,7 +57,7 @@ from .errors import MissingFace, SlotAlreadyAssigned, UnassignedSlot
 from .field import OpCountingField, PrimeField
 from .reorder import reordered_filtration
 from .simplex_tree import SimplexTree
-from .stats import RunStats, StatsCollector
+from .stats import RunStats, sample
 
 
 @dataclass
@@ -110,7 +110,8 @@ class PersistenceEngine:
         self._marked: dict[int, int] = {}  # deferred key -> its arrival row
         self._marked_keys = self._marked.keys()  # a live view, kept for isdisjoint
         self._finished = False
-        self._collector = StatsCollector() if self.options.record_stats else None
+        # peaks so far; field_ops is read from the field when asked for
+        self._stats = RunStats() if self.options.record_stats else None
 
     # ------------------------------------------------------------------
     # insertion
@@ -181,9 +182,16 @@ class PersistenceEngine:
         return len(self._creators[dim]) if 0 <= dim <= self._top else 0
 
     def stats(self) -> RunStats:
-        if self._collector is None:
+        st = self._stats
+        if st is None:
             return RunStats()
-        return self._collector.result(field_ops=self.field.ops)
+        # a copy, which later samples leave as it is
+        return replace(
+            st,
+            field_ops=self.field.ops,
+            g_max_by_dim=dict(st.g_max_by_dim),
+            s_max_by_dim=dict(st.s_max_by_dim),
+        )
 
     # ------------------------------------------------------------------
     # internals
@@ -191,10 +199,12 @@ class PersistenceEngine:
     def _insert(self, key: int, defer: bool) -> None:
         """The one insertion core behind insert() and lazy_evaluation().
 
-        A marked simplex goes in as a creator on its arrival row. Any
-        other simplex takes the next row and first forces its marked faces
-        in, oldest row first, so the two entry points can be mixed freely;
-        one C-level disjointness test finds that most simplices have none.
+        A marked simplex goes in as a creator on its arrival row. One that
+        has already arrived is rejected before it takes a row or charges
+        the field. Any other simplex takes the next row and first forces
+        its marked faces in, oldest row first, so the two entry points can
+        be mixed freely; one C-level disjointness test finds that most
+        simplices have none.
         The face with the youngest row r is held back: if the signed sum of
         the other faces is zero or lies below r, that face is folded into
         the simplex, which then goes in as its killer (see ``_fold``), and
@@ -210,6 +220,10 @@ class PersistenceEngine:
             self._insert_creator(key, row)
             self._sample()
             return
+        if self._arrived[key]:
+            raise SlotAlreadyAssigned(
+                f"simplex {self._simplex_of[key]} was already inserted"
+            )
         row = next(self._arrivals)
         faces = self._faces_of[key]
         if not self._marked_keys.isdisjoint(faces):
@@ -227,10 +241,6 @@ class PersistenceEngine:
             a_bd = self._matrices[dim - 1].signed_sum(faces) if faces else ()
         except UnassignedSlot:
             self._missing_face(key)
-        if self._arrived[key]:
-            raise SlotAlreadyAssigned(
-                f"simplex {self._simplex_of[key]} was already inserted"
-            )
         self._arrived[key] = 1
         if not a_bd:
             if defer:
@@ -254,7 +264,7 @@ class PersistenceEngine:
         was never inserted.
         """
         dim = self._dim_of[face]
-        if self._collector is not None:
+        if self._stats is not None:
             # face's birth, counted as it would have been stored; if the
             # fold does not apply, forcing face takes this same sample
             self._sample(transient=dim)
@@ -301,10 +311,9 @@ class PersistenceEngine:
         self._creators[dim][row] = key
 
     def _sample(self, transient: int | None = None) -> None:
-        if self._collector is not None:
-            self._collector.sample(
-                self._matrices, len(self._creators[self._top]), transient
-            )
+        if self._stats is not None:
+            top_rows = len(self._creators[self._top])
+            sample(self._stats, self._matrices, top_rows, transient)
 
 
 def compute_persistence(

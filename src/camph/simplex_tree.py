@@ -174,19 +174,12 @@ class SimplexTree:
     def __contains__(self, simplex: Iterable[int]) -> bool:
         return tuple(sorted(simplex)) in self._values
 
-    def vertices(self) -> list[int]:
-        return sorted(s[0] for s in self._values if len(s) == 1)
-
     def value(self, simplex: Iterable[int]) -> float:
         verts = tuple(sorted(simplex))
         value = self._values.get(verts)
         if value is None:
             raise UnknownSimplex(f"simplex {verts} is not in the complex")
         return value
-
-    def simplices(self) -> list[tuple[Simplex, float]]:
-        """All simplices with their values, in lexicographic order."""
-        return sorted(self._values.items())
 
     def boundary(self, simplex: Iterable[int]) -> list[tuple[Simplex, int]]:
         """Codimension-1 faces with alternating signs.
@@ -204,31 +197,20 @@ class SimplexTree:
             for j in range(len(verts))
         ]
 
-    def cofacets(
-        self,
-        simplex: Iterable[int],
-        value_range: tuple[float, float] | None = None,
-    ) -> list[Simplex]:
-        """Codimension-1 cofaces, optionally restricted to a closed value
-        interval, in lexicographic order.
+    # Nothing in the package calls this; the benchmark's sampler patches it
+    # by name to count calls, so it stays until the sampler stops.
+    def cofacets(self, simplex: Iterable[int]) -> list[Simplex]:
+        """Codimension-1 cofaces in lexicographic order.
 
-        Costs one lookup per vertex of the complex.
+        Costs one pass over the complex.
         """
         verts = tuple(sorted(simplex))
         if verts not in self._values:
             raise UnknownSimplex(f"simplex {verts} is not in the complex")
-        lo, hi = value_range if value_range is not None else (-math.inf, math.inf)
         present = set(verts)
-        out = []
-        for v in self.vertices():
-            if v in present:
-                continue
-            coface = tuple(sorted(verts + (v,)))
-            value = self._values.get(coface)
-            if value is not None and lo <= value <= hi:
-                out.append(coface)
-        out.sort()
-        return out
+        return sorted(
+            s for s in self._values if len(s) == len(verts) + 1 and present.issubset(s)
+        )
 
     def filtration_order(self) -> list[Simplex]:
         """Total order by (value, dimension, lexicographic vertex list).

@@ -40,55 +40,40 @@ def format_stats(stats: RunStats) -> str:
     return "\n".join(lines) + "\n"
 
 
-class StatsCollector:
-    """Keeps running maxima over per-insertion samples."""
+def sample(
+    stats: RunStats, matrices, top_rows: int, transient: int | None = None
+) -> None:
+    """Raise ``stats``' peaks to one sample: ``matrices[d]`` serves
+    dimension d below the top.
 
-    def __init__(self):
-        self._stats = RunStats()
-
-    def sample(self, matrices, top_rows: int, transient: int | None = None) -> None:
-        """One sample: ``matrices[d]`` serves dimension d below the top.
-
-        The top dimension stores nothing, yet each of its ``top_rows``
-        live classes counts as one row, one distinct unit column and one
-        nonzero, as a stored annotation would. A class folded into the
-        coface that kills it is never stored either; the sample at its
-        birth names its dimension as ``transient``, which counts one more
-        row, distinct unit column and nonzero there.
-        """
-        st = self._stats
-        total_g = total_s = nnz = top_rows
-        for dim, matrix in enumerate(matrices):
-            g = matrix.live_row_count
-            s = matrix.distinct_column_count
-            if dim == transient:
-                g += 1
-                s += 1
-                nnz += 1
-            total_g += g
-            total_s += s
-            nnz += matrix.nonzero_count
-            if g > st.g_max_by_dim.get(dim, -1):
-                st.g_max_by_dim[dim] = g
-            if s > st.s_max_by_dim.get(dim, -1):
-                st.s_max_by_dim[dim] = s
-        top = len(matrices)
-        if top_rows > st.g_max_by_dim.get(top, -1):
-            st.g_max_by_dim[top] = st.s_max_by_dim[top] = top_rows
-        if total_g > st.g_max_total:
-            st.g_max_total = total_g
-        if total_s > st.s_max_total:
-            st.s_max_total = total_s
-        if nnz > st.matrix_nonzeros_peak:
-            st.matrix_nonzeros_peak = nnz
-
-    def result(self, field_ops: int = 0) -> RunStats:
-        st = self._stats
-        return RunStats(
-            field_ops=field_ops,
-            matrix_nonzeros_peak=st.matrix_nonzeros_peak,
-            g_max_total=st.g_max_total,
-            s_max_total=st.s_max_total,
-            g_max_by_dim=dict(st.g_max_by_dim),
-            s_max_by_dim=dict(st.s_max_by_dim),
-        )
+    The top dimension stores nothing, yet each of its ``top_rows`` live
+    classes counts as one row, one distinct unit column and one nonzero,
+    as a stored annotation would. A class folded into the coface that
+    kills it is never stored either; the sample at its birth names its
+    dimension as ``transient``, which counts one more row, distinct unit
+    column and nonzero there.
+    """
+    total_g = total_s = nnz = top_rows
+    for dim, matrix in enumerate(matrices):
+        g = matrix.live_row_count
+        s = matrix.distinct_column_count
+        if dim == transient:
+            g += 1
+            s += 1
+            nnz += 1
+        total_g += g
+        total_s += s
+        nnz += matrix.nonzero_count
+        if g > stats.g_max_by_dim.get(dim, -1):
+            stats.g_max_by_dim[dim] = g
+        if s > stats.s_max_by_dim.get(dim, -1):
+            stats.s_max_by_dim[dim] = s
+    top = len(matrices)
+    if top_rows > stats.g_max_by_dim.get(top, -1):
+        stats.g_max_by_dim[top] = stats.s_max_by_dim[top] = top_rows
+    if total_g > stats.g_max_total:
+        stats.g_max_total = total_g
+    if total_s > stats.s_max_total:
+        stats.s_max_total = total_s
+    if nnz > stats.matrix_nonzeros_peak:
+        stats.matrix_nonzeros_peak = nnz

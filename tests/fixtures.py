@@ -127,7 +127,7 @@ def quantize_values(complex: SimplexTree, digits: int) -> SimplexTree:
     """Copy with rounded filtration values (rounding is monotone, so the
     result is still a valid filtration, now with large equal-value blocks)."""
     tree = SimplexTree()
-    for simplex, value in complex.simplices():
+    for simplex, value in zip(complex.simplex_of, complex.value_of):
         tree.insert_simplex(simplex, round(value, digits))
     tree.finalize()
     return tree

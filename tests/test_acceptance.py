@@ -189,7 +189,7 @@ def test_criterion_compression_effectiveness():
     _, stats = compute_persistence(
         complex, PrimeField(11), EngineOptions(record_stats=True)
     )
-    simplices_per_dim = Counter(len(s) - 1 for s, _ in complex.simplices())
+    simplices_per_dim = Counter(complex.dim_of)
     for dim, count in simplices_per_dim.items():
         assert stats.s_max_by_dim.get(dim, 0) < count, (dim, count)
     assert stats.s_max_total <= 4 * stats.g_max_total
@@ -220,7 +220,7 @@ def test_criterion_structural_invariants(corpus):
                     runs += 1
     p = 3
     for complex in corpus:
-        for simplex, _ in complex.simplices():
+        for simplex in complex.simplex_of:
             if len(simplex) < 3:
                 continue
             acc: dict = {}

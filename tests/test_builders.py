@@ -9,13 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from camph import (
-    PrimeField,
-    build_rips,
-    compute_persistence,
-    diagram_equal,
-    pairwise_distances,
-)
+from camph import PrimeField, build_rips, compute_persistence, diagram_equal
 from camph.errors import DimensionMismatch
 
 from tests.fixtures import random_rips_corpus, torus_point_sample
@@ -25,16 +19,42 @@ F2 = PrimeField(2)
 DATA = Path(__file__).parent / "data"
 
 
+def _simplices(c):
+    """Every simplex of ``c`` with its value, in lexicographic order."""
+    return sorted(zip(c.simplex_of, c.value_of))
+
+
+def _distance(p, q) -> float:
+    """The root of the squared coordinate differences added left to right
+    from 0.0, the rule build_rips measures by."""
+    total = 0.0
+    for x, y in zip(p, q):
+        total += (x - y) * (x - y)
+    return math.sqrt(total)
+
+
+def _edge_distances(points) -> list[list[float]]:
+    """The n x n distance matrix read off the edges of
+    ``build_rips(points, inf, 1)``: symmetric, 0.0 on the diagonal."""
+    c = build_rips(points, math.inf, 1)
+    dist = [[0.0] * len(points) for _ in points]
+    for simplex, value in zip(c.simplex_of, c.value_of):
+        if len(simplex) == 2:
+            u, v = simplex
+            dist[u][v] = dist[v][u] = value
+    return dist
+
+
 def test_two_points_within_reach():
     c = build_rips([[0.0], [1.0]], 2.0, 1)
-    assert sorted(s for s, _ in c.simplices()) == [(0,), (0, 1), (1,)]
+    assert sorted(c.simplex_of) == [(0,), (0, 1), (1,)]
     assert c.value((0,)) == 0.0
     assert c.value((0, 1)) == 1.0
 
 
 def test_two_points_out_of_reach():
     c = build_rips([[0.0], [3.0]], 2.0, 1)
-    assert sorted(s for s, _ in c.simplices()) == [(0,), (1,)]
+    assert sorted(c.simplex_of) == [(0,), (1,)]
 
 
 def test_equilateral_triangle_diameter_values():
@@ -49,7 +69,7 @@ def test_equilateral_triangle_diameter_values():
 
 def test_max_dim_zero_keeps_only_vertices():
     c = build_rips([[0.0], [0.5]], 2.0, 0)
-    assert all(len(s) == 1 for s, _ in c.simplices())
+    assert all(len(s) == 1 for s in c.simplex_of)
 
 
 def test_empty_cloud():
@@ -71,8 +91,6 @@ def test_invalid_arguments():
         with pytest.raises(ValueError, match="max_dim"):
             build_rips(eight, 10.0, bad)
     with pytest.raises(DimensionMismatch):
-        pairwise_distances([0.0, 1.0])
-    with pytest.raises(DimensionMismatch):
         build_rips([0.0, 1.0], 1.0, 1)
     with pytest.raises(DimensionMismatch):  # ragged
         build_rips([[0.0, 1.0], [1.0]], 1.0, 1)
@@ -83,14 +101,13 @@ def test_value_is_max_edge_length_of_simplex():
     rng = random.Random(92)
     for _ in range(10):
         pts = [[rng.uniform(0, 1) for _ in range(3)] for _ in range(7)]
-        dist = pairwise_distances(pts)
         c = build_rips(pts, 0.9, 3)
-        for simplex, value in c.simplices():
+        for simplex, value in zip(c.simplex_of, c.value_of):
             if len(simplex) == 1:
                 assert value == 0.0
             else:
                 expected = max(
-                    dist[u][v]
+                    _distance(pts[u], pts[v])
                     for i, u in enumerate(simplex)
                     for v in simplex[i + 1 :]
                 )
@@ -147,7 +164,8 @@ def test_unquantized_rips_bytes_match_recorded_digests():
     assert corpus == recorded["random_rips_corpus"]
     points = torus_point_sample(100)
     assert stats_digest(build_rips(points, 1.5, 2)) == recorded["torus_sample_100"]
-    dist = repr([[float(d) for d in row] for row in pairwise_distances(points)])
+    # the digest is of the full n x n matrix, rebuilt here from the edges
+    dist = repr(_edge_distances(points))
     digest = hashlib.sha256(dist.encode()).hexdigest()
     assert digest == recorded["torus_sample_100_distances"]
 
@@ -156,19 +174,16 @@ def test_unquantized_rips_bytes_match_recorded_digests():
 def test_distances_are_left_to_right_sums(width):
     rng = random.Random(width)
     pts = [tuple(rng.uniform(-5, 5) for _ in range(width)) for _ in range(15)]
-    dist = pairwise_distances(pts)
+    dist = _edge_distances(pts)
     for i, p in enumerate(pts):
         for j, q in enumerate(pts):
-            total = 0.0
-            for x, y in zip(p, q):
-                total += (x - y) * (x - y)
-            assert dist[i][j] == math.sqrt(total)
+            assert dist[i][j] == _distance(p, q)
 
 
 def test_zero_width_cloud_is_coincident_vertices():
     c = build_rips([()] * 5, 1.0, 2)
     assert len(c) == 25  # 5 vertices, 10 edges, 10 triangles
-    assert all(value == 0.0 for _, value in c.simplices())
+    assert all(value == 0.0 for value in c.value_of)
 
 
 def test_numpy_array_input_matches_list_input():
@@ -177,19 +192,18 @@ def test_numpy_array_input_matches_list_input():
     pts = [[rng.uniform(0, 1) for _ in range(3)] for _ in range(12)]
     from_list = build_rips(pts, 0.5, 2)
     from_array = build_rips(np.array(pts), 0.5, 2)
-    assert from_array.simplices() == from_list.simplices()
+    assert _simplices(from_array) == _simplices(from_list)
     assert len(build_rips(np.zeros((5, 0)), 1.0, 2)) == 25
 
 
 def _all_pairs_simplices(points, max_edge_length, max_dim):
-    """build_rips(...).simplices() the slow way: every vertex subset, its
-    diameter read from the full distance matrix."""
-    dist = pairwise_distances(points)
+    """_simplices(build_rips(...)) the slow way: every vertex subset, its
+    diameter the largest of its measured pairs."""
     out = []
     for size in range(1, max_dim + 2):
         for simplex in itertools.combinations(range(len(points)), size):
-            pairs = itertools.combinations(simplex, 2)
-            value = max((dist[u][v] for u, v in pairs), default=0.0)
+            pairs = itertools.combinations([points[v] for v in simplex], 2)
+            value = max(itertools.starmap(_distance, pairs), default=0.0)
             if value <= max_edge_length:
                 out.append((simplex, value))
     return sorted(out)
@@ -212,18 +226,17 @@ def test_sweep_measures_every_pair_in_reach(width, data):
     copies = data.draw(st.lists(st.integers(0, len(points) - 1), max_size=2))
     points += [points[i] for i in copies]
     # reaches that sit exactly on a distance or on one coordinate's gap
-    dist = pairwise_distances(points)
     gaps = [abs(p[c] - q[c]) for p in points for q in points for c in range(width)]
     max_edge_length = data.draw(
         st.one_of(
             st.sampled_from([0.0, math.inf]),
-            st.sampled_from([d for row in dist for d in row]),
+            st.sampled_from([_distance(p, q) for p in points for q in points]),
             st.sampled_from(gaps) if gaps else st.just(0.0),
             st.floats(0.0, 10.0),
         )
     )
     max_dim = data.draw(st.integers(0, 3))
-    built = build_rips(points, max_edge_length, max_dim).simplices()
+    built = _simplices(build_rips(points, max_edge_length, max_dim))
     assert built == _all_pairs_simplices(points, max_edge_length, max_dim)
 
 
@@ -251,7 +264,7 @@ def test_sweep_measures_every_pair_in_reach(width, data):
     ],
 )
 def test_sweep_boundary_cases(points, max_edge_length, size):
-    built = build_rips(points, max_edge_length, 2).simplices()
+    built = _simplices(build_rips(points, max_edge_length, 2))
     assert built == _all_pairs_simplices(points, max_edge_length, 2)
     assert len(built) == size
 

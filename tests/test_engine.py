@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -437,7 +438,8 @@ def test_top_simplex_inserted_twice_rejected(options, monkeypatch):
     # every simplex, not only the top ones that no matrix holds: creators,
     # killers, and under lazy fold killers, forced creators and deferred
     # creators; full_triangle's top simplex kills, hollow_triangle's last
-    # edge creates
+    # edge creates. A rejected call does no work: it charges the field
+    # nothing and moves no peak
     fold = CompressedAnnotationMatrix.fold
     lazy_evaluation = PersistenceEngine.lazy_evaluation
     folds = []
@@ -456,15 +458,17 @@ def test_top_simplex_inserted_twice_rejected(options, monkeypatch):
     forced = deferred = 0
     for c in canned_complexes().values():
         calls.clear()
-        engine, step = _run(c, options)
+        engine, step = _run(c, replace(options, record_stats=True))
         # under lazy, every call beyond one per simplex forced a marked face
         forced += len(calls) - (len(c) if options.lazy else 0)
         for simplex in c.filtration_order():
             while engine.is_marked(simplex):
                 deferred += 1
                 step(simplex)  # a deferred creator goes in on its second call
+            before = engine.stats()
             with pytest.raises(SlotAlreadyAssigned):
                 step(simplex)
+            assert engine.stats() == before, simplex
     assert (True in folds, forced > 0, deferred > 0) == (options.lazy,) * 3
 
 

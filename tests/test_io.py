@@ -72,7 +72,7 @@ def test_read_filtration_sorts_each_line(tmp_path):
     c = read_filtration(path)
     assert c.simplex_of[-1] == (0, 1, 2)
     assert c.value((0, 1, 2)) == 2.0
-    assert sorted(s for s, _ in c.simplices()) == [
+    assert sorted(c.simplex_of) == [
         (0,), (0, 1), (0, 1, 2), (0, 2), (1,), (1, 2), (2,)
     ]
 
@@ -127,11 +127,13 @@ def test_filtration_round_trip(tmp_path):
     path.write_text(
         "".join(
             " ".join([repr(value), *map(str, simplex)]) + "\n"
-            for simplex, value in original.simplices()
+            for simplex, value in zip(original.simplex_of, original.value_of)
         )
     )
     loaded = read_filtration(path)
-    assert sorted(loaded.simplices()) == sorted(original.simplices())
+    assert sorted(zip(loaded.simplex_of, loaded.value_of)) == sorted(
+        zip(original.simplex_of, original.value_of)
+    )
 
 
 def test_essential_class_written_as_inf():

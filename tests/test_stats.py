@@ -14,7 +14,7 @@ from camph import (
     format_stats,
 )
 from camph.field import OpCountingField
-from camph.stats import StatsCollector
+from camph.stats import sample
 
 from tests.fixtures import canned_complexes, full_triangle, random_rips_corpus
 
@@ -85,7 +85,7 @@ def test_distinct_column_peaks_stay_bounded():
     complexes = list(canned_complexes().values()) + random_rips_corpus(count=5, seed=9)
     for c in complexes:
         _, stats = compute_persistence(c, F2, STANDARD_STATS)
-        per_dim = Counter(len(s) - 1 for s, _ in c.simplices())
+        per_dim = Counter(c.dim_of)
         for dim, s_peak in stats.s_max_by_dim.items():
             assert s_peak <= per_dim.get(dim, 0)
             assert s_peak <= 2 ** stats.g_max_by_dim[dim]
@@ -150,9 +150,8 @@ def test_transient_class_counted_in_its_dimension():
     # counts as one row, one distinct column and one nonzero there
     below, middle = CompressedAnnotationMatrix(F2), CompressedAnnotationMatrix(F2)
     below.create_cocycle("a", 0)
-    collector = StatsCollector()
-    collector.sample([below, middle], top_rows=0, transient=1)
-    collector.sample([below, middle], top_rows=0)
-    stats = collector.result()
+    stats = RunStats()
+    sample(stats, [below, middle], top_rows=0, transient=1)
+    sample(stats, [below, middle], top_rows=0)
     assert (stats.g_max_total, stats.s_max_total, stats.matrix_nonzeros_peak) == (2, 2, 2)
     assert stats.g_max_by_dim == stats.s_max_by_dim == {0: 1, 1: 1, 2: 0}
