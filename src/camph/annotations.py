@@ -118,9 +118,6 @@ class CompressedAnnotationMatrix:
     def nonzero_count(self) -> int:
         return self._nnz
 
-    def is_assigned(self, slot) -> bool:
-        return slot in self._slots
-
     # ------------------------------------------------------------------
     # operations
 

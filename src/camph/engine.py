@@ -28,7 +28,9 @@ class.
 
 Two insertion-order strategies are available: deferring each creator
 until one of its cofaces arrives, and reordering equal-value blocks; both
-leave the diagram unchanged.
+leave the diagram unchanged. An engine defers or not as
+``EngineOptions.lazy`` says when it is built; ``insert`` is its one
+insertion, and it rejects a bad simplex before it changes anything.
 
 A deferred creator is most often killed by the very coface that forces
 it. The coface's youngest marked face sigma, on row r, is
@@ -49,11 +51,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import NoReturn
 
 from .annotations import CompressedAnnotationMatrix
 from .diagram import PersistenceDiagram, PersistencePair
-from .errors import MissingFace, SlotAlreadyAssigned, UnassignedSlot
+from .errors import MissingFace, SlotAlreadyAssigned
 from .field import OpCountingField, PrimeField
 from .reorder import reordered_filtration
 from .simplex_tree import SimplexTree
@@ -75,6 +76,14 @@ class PersistenceEngine:
     Strictly sequential; independent runs may share the (frozen) complex.
     Simplices are addressed by their filtration keys, which also serve as
     the annotation matrices' slots.
+
+    Under ``options.lazy`` a simplex with a zero boundary sum is only
+    marked; it goes in as a creator when a coface needs it or at
+    ``finish``, on the row it got on arrival. Its class thus keeps the
+    seniority of its arrival however late its column materializes;
+    otherwise two deferred creators whose first cofaces arrive in opposite
+    order would swap ages, and the destruction rule (remove the maximal
+    row) would pair them differently than the standard order does.
     """
 
     def __init__(
@@ -87,6 +96,7 @@ class PersistenceEngine:
             raise ValueError("the complex must be finalized first")
         self.complex = complex
         self.options = options or EngineOptions()
+        self._lazy = self.options.lazy
         if self.options.record_stats:
             # a fresh counter, so field_ops covers this run alone
             field = OpCountingField(field.p)
@@ -103,12 +113,12 @@ class PersistenceEngine:
         ]
         # per dimension: live row -> creator key
         self._creators: list[dict[int, int]] = [{} for _ in range(top + 1)]
-        # per key: 1 once the simplex has arrived, in any dimension
-        self._arrived = bytearray(len(complex))
+        # per key: True once the simplex is in, as a creator, a killer or a
+        # folded face; a marked simplex has arrived but is not in yet
+        self._inserted = [False] * len(complex)
         self._pairs: list[PersistencePair] = []
         self._arrivals = itertools.count()  # the next arriving simplex's row
         self._marked: dict[int, int] = {}  # deferred key -> its arrival row
-        self._marked_keys = self._marked.keys()  # a live view, kept for isdisjoint
         self._finished = False
         # peaks so far; field_ops is read from the field when asked for
         self._stats = RunStats() if self.options.record_stats else None
@@ -117,24 +127,16 @@ class PersistenceEngine:
     # insertion
 
     def insert(self, simplex) -> None:
-        """Standard insertion; every face must already be inserted or marked."""
-        self._insert(self.complex.key(simplex), defer=False)
+        """Insert the next simplex, whose faces must all be inserted.
 
-    def lazy_evaluation(self, simplex) -> None:
-        """Deferred insertion: creators wait until a coface needs them.
-
-        A marked simplex goes in directly as a creator, skipping its
-        boundary sum. Otherwise a nonzero boundary sum destroys as usual
-        while a zero sum only marks the simplex and defers it.
-
-        A marked simplex keeps the row it got on arrival, so its class has
-        the seniority of its arrival position however late its column
-        materializes. Otherwise two deferred creators whose first cofaces
-        arrive in opposite order would swap ages, and the destruction rule
-        (remove the maximal row) would pair them differently than the
-        standard insertion order does, changing the diagram.
+        Under ``options.lazy`` a creator is marked, and a marked simplex
+        inserted again goes in as a creator, skipping its boundary sum.
         """
-        self._insert(self.complex.key(simplex), defer=True)
+        self._insert(self.complex.key(simplex))
+
+    # the name through which forced faces re-enter: bench/sample.py wraps
+    # it to count the forced creators of a run
+    lazy_evaluation = insert
 
     def finish(self) -> PersistenceDiagram:
         """Flush deferred creators, close essential classes, emit the diagram.
@@ -196,21 +198,19 @@ class PersistenceEngine:
     # ------------------------------------------------------------------
     # internals
 
-    def _insert(self, key: int, defer: bool) -> None:
-        """The one insertion core behind insert() and lazy_evaluation().
-
-        A marked simplex goes in as a creator on its arrival row. One that
-        has already arrived is rejected before it takes a row or charges
-        the field. Any other simplex takes the next row and first forces
-        its marked faces in, oldest row first, so the two entry points can
-        be mixed freely; one C-level disjointness test finds that most
-        simplices have none.
+    def _insert(self, key: int) -> None:
+        """A marked simplex goes in as a creator on its arrival row. Any
+        other simplex is checked before it changes anything: it is
+        rejected if it is already in, or if one of its faces is neither in
+        nor marked. Only then does it take the next row and force its
+        marked faces in, oldest row first; one pass over the faces finds
+        that most simplices have every face in.
         The face with the youngest row r is held back: if the signed sum of
         the other faces is zero or lies below r, that face is folded into
         the simplex, which then goes in as its killer (see ``_fold``), and
         only otherwise is it forced too. A zero boundary sum then marks the
-        simplex when ``defer`` is set and creates a class otherwise; a
-        nonzero sum destroys a class one dimension down.
+        simplex under lazy and creates a class otherwise; a nonzero sum
+        destroys a class one dimension down.
         """
         if self._finished:
             raise RuntimeError("finish() was already called")
@@ -220,30 +220,30 @@ class PersistenceEngine:
             self._insert_creator(key, row)
             self._sample()
             return
-        if self._arrived[key]:
+        inserted = self._inserted
+        if inserted[key]:
             raise SlotAlreadyAssigned(
                 f"simplex {self._simplex_of[key]} was already inserted"
             )
-        row = next(self._arrivals)
         faces = self._faces_of[key]
-        if not self._marked_keys.isdisjoint(faces):
-            deferred = [face for face in faces if face in marked]
-            deferred.sort(key=marked.__getitem__)
+        deferred = None
+        for face in faces:
+            if not inserted[face]:
+                deferred = self._marked_faces(key, faces)
+                break
+        row = next(self._arrivals)
+        if deferred:
             youngest = deferred.pop()
             for face in deferred:
-                # through the public method, so wrappers see every insertion
+                # through lazy_evaluation, so wrappers see every forced face
                 self.lazy_evaluation(self._simplex_of[face])
             if self._fold(key, youngest, faces):
                 return
             self.lazy_evaluation(self._simplex_of[youngest])
         dim = self._dim_of[key]
-        try:
-            a_bd = self._matrices[dim - 1].signed_sum(faces) if faces else ()
-        except UnassignedSlot:
-            self._missing_face(key)
-        self._arrived[key] = 1
+        a_bd = self._matrices[dim - 1].signed_sum(faces) if faces else ()
         if not a_bd:
-            if defer:
+            if self._lazy:
                 marked[key] = row
                 return
             self._insert_creator(key, row)
@@ -251,6 +251,20 @@ class PersistenceEngine:
             killed = self._matrices[dim - 1].kill_cocycle(a_bd)
             self._insert_killer(key, dim, self._creators[dim - 1].pop(killed))
         self._sample()
+
+    def _marked_faces(self, key: int, faces: tuple) -> list[int]:
+        # the faces of key that are not in, oldest row first; the first, in
+        # boundary order, that is not marked either was never inserted
+        marked = self._marked
+        deferred = [face for face in faces if not self._inserted[face]]
+        for face in deferred:
+            if face not in marked:
+                raise MissingFace(
+                    f"face {self._simplex_of[face]} of {self._simplex_of[key]} "
+                    "was never inserted"
+                )
+        deferred.sort(key=marked.__getitem__)
+        return deferred
 
     def _fold(self, key: int, face: int, faces: tuple) -> bool:
         """Create marked ``face`` and let ``key`` kill it, in one step.
@@ -260,22 +274,17 @@ class PersistenceEngine:
         row above ``face``'s, forcing ``face`` would create a class that
         ``key`` kills at once; the matrix then gives ``face`` the column
         that kill would leave, and ``key`` goes in as its killer. Returns
-        False, with no change, when it does not apply or some other face
-        was never inserted.
+        False, with no change, when it does not apply.
         """
         dim = self._dim_of[face]
         if self._stats is not None:
             # face's birth, counted as it would have been stored; if the
             # fold does not apply, forcing face takes this same sample
             self._sample(transient=dim)
-        matrix = self._matrices[dim]
-        try:
-            if not matrix.fold(face, self._marked[face], faces):
-                return False
-        except UnassignedSlot:
+        if not self._matrices[dim].fold(face, self._marked[face], faces):
             return False
         del self._marked[face]
-        self._arrived[key] = 1
+        self._inserted[face] = True
         self._insert_killer(key, dim + 1, face)
         self._sample()
         return True
@@ -283,6 +292,7 @@ class PersistenceEngine:
     def _insert_killer(self, key: int, dim: int, creator: int) -> None:
         # key has the zero annotation and closes the class of creator; a
         # zero-length pair is recorded only when it is emitted
+        self._inserted[key] = True
         if dim < self._top:
             self._matrices[dim].assign_zero(key)
         birth, death = self._value_of[creator], self._value_of[key]
@@ -293,17 +303,8 @@ class PersistenceEngine:
                 )
             )
 
-    def _missing_face(self, key: int) -> NoReturn:
-        # names the first face, in boundary order, that was never inserted
-        faces = self._faces_of[key]
-        matrix = self._matrices[len(faces) - 2]
-        face = next(f for f in faces if not matrix.is_assigned(f))
-        raise MissingFace(
-            f"face {self._simplex_of[face]} of {self._simplex_of[key]} "
-            "was never inserted"
-        ) from None
-
     def _insert_creator(self, key: int, row: int) -> None:
+        self._inserted[key] = True
         dim = self._dim_of[key]
         # a top creator is never a face, so it needs no column
         if dim < self._top:
@@ -324,8 +325,8 @@ def compute_persistence(
     """Full run: order the filtration, insert everything, emit the diagram.
 
     With ``options.reorder`` the equal-value blocks are permuted first;
-    with ``options.lazy`` insertions go through the deferred path. Stats
-    counters are all zero unless ``options.record_stats`` is set.
+    with ``options.lazy`` the engine defers its creators. Stats counters
+    are all zero unless ``options.record_stats`` is set.
     """
     opts = options or EngineOptions()
     engine = PersistenceEngine(complex, field, opts)
@@ -333,7 +334,7 @@ def compute_persistence(
         sequence = reordered_filtration(complex)
     else:
         sequence = complex.simplex_of
-    step = engine.lazy_evaluation if opts.lazy else engine.insert
+    insert = engine.insert
     for simplex in sequence:
-        step(simplex)
+        insert(simplex)
     return engine.finish(), engine.stats()

@@ -150,7 +150,8 @@ def test_create_cocycle_uses_the_given_row():
     assert m.live_row_count == 2
     with pytest.raises(InvariantViolation):
         m.create_cocycle("c", 5)
-    assert not m.is_assigned("c")
+    with pytest.raises(UnassignedSlot):
+        m.find_annotation("c")
     assert (m.live_row_count, m.distinct_column_count, m.nonzero_count) == (2, 2, 2)
     # the maximal row names the youngest class
     assert m.kill_cocycle(vec((5, 1), (8, 1))) == 8
@@ -769,7 +770,8 @@ def _run_fold(p, fold_program) -> bool:
         assert m.find_annotation(new) == _vector(model[new])
     else:
         assert field.ops == ops
-        assert not m.is_assigned(new)
+        with pytest.raises(UnassignedSlot):
+            m.find_annotation(new)
         assert _state(m, range(new)) == before
     for slot in range(new):
         assert m.find_annotation(slot) == _vector(model[slot]), slot
@@ -812,7 +814,8 @@ def test_fold_checks_its_slot_row_and_other_slots():
     with pytest.raises(UnassignedSlot):
         m.fold("b", row, ["a", "b", "ghost"])
     assert field.ops == 0
-    assert not m.is_assigned("b")
+    with pytest.raises(UnassignedSlot):
+        m.find_annotation("b")
     # over Z_11: b at the odd position 1 of a - b + z, with a = (0, 1) and z
     # zero, gives s = (0, 1) and c = -1, so b's column is s = a's column
     m.assign_zero("z")

@@ -125,8 +125,10 @@ def test_missing_face_detected():
     engine.insert((1,))
     with pytest.raises(MissingFace, match=r"face \(0,\) of \(0, 1\)"):
         engine.insert((0, 1))
-    # a failed insertion leaves the simplex free for a retry
+    # a failed insertion takes no row and leaves the simplex free for a
+    # retry: (0,) arrives second, so its class is on row 1
     engine.insert((0,))
+    assert engine._matrices[0].find_annotation(c.key((0,))) == vec((1, 1))
     engine.insert((0, 1))
     assert engine.live_cocycle_count(0) == 1
 
@@ -180,16 +182,29 @@ def test_zero_slots_hold_the_zero_annotation(monkeypatch):
     [("lazy_evaluation", "insert"), ("lazy_evaluation", "lazy_evaluation")],
 )
 def test_missing_face_named_after_marked_face_is_forced(face_entry, coface_entry):
-    # (1,) is marked and (0,) was never inserted: the marked face goes in,
-    # and the error names the never-inserted one
+    # (1,) is marked and (0,) was never inserted: the error names the
+    # never-inserted face, and the call is rejected before the marked face
+    # would be forced, under either name of the one insertion
     c = full_triangle()
-    engine = PersistenceEngine(c, F2, STANDARD)
+    engine = PersistenceEngine(
+        c, PrimeField(3), EngineOptions(reorder=False, record_stats=True)
+    )
     getattr(engine, face_entry)((1,))
     assert engine.is_marked((1,))
-    with pytest.raises(MissingFace, match=r"face \(0,\) of \(0, 1\)"):
-        getattr(engine, coface_entry)((0, 1))
-    assert not engine.is_marked((1,))
-    assert engine.live_cocycle_count(0) == 1
+    before = engine.stats()
+    for _ in range(3):
+        with pytest.raises(MissingFace, match=r"face \(0,\) of \(0, 1\)"):
+            getattr(engine, coface_entry)((0, 1))
+        assert engine.is_marked((1,))
+        assert engine.live_cocycle_count(0) == 0
+        assert engine.stats() == before
+    # the failed calls took no row: (0,) arrives on row 1, and the retry
+    # forces (1,) and folds (0,)
+    engine.insert((0,))
+    assert engine._marked == {c.key((1,)): 0, c.key((0,)): 1}
+    getattr(engine, coface_entry)((0, 1))
+    assert not engine.is_marked((0,)) and not engine.is_marked((1,))
+    assert engine._creators[0] == {0: c.key((1,))}
 
 
 def test_full_triangle_diagram():
@@ -269,16 +284,26 @@ def test_lazy_terminal_flush_emits_essential_classes():
 
 
 def test_mixed_entry_points_match_oracle():
-    # insert() must force the faces lazy_evaluation() left marked
+    # lazy_evaluation is insert under another name: whether an engine
+    # defers is fixed when it is built, so alternating the two names gives
+    # the diagram and statistics of insert alone, on lazy and standard
+    # engines
     field = PrimeField(3)
-    for name, c in canned_complexes().items():
-        engine = PersistenceEngine(c, field, STANDARD)
-        for i, simplex in enumerate(c.filtration_order()):
-            if i % 2:
-                engine.lazy_evaluation(simplex)
-            else:
-                engine.insert(simplex)
-        assert diagram_equal(engine.finish(), oracle_reduce(c, field)), name
+    for lazy in (False, True):
+        options = EngineOptions(lazy=lazy, reorder=False, record_stats=True)
+        for name, c in canned_complexes().items():
+            runs = []
+            for mixed in (False, True):
+                engine = PersistenceEngine(c, field, options)
+                for i, simplex in enumerate(c.filtration_order()):
+                    if mixed and i % 2:
+                        engine.lazy_evaluation(simplex)
+                    else:
+                        engine.insert(simplex)
+                diagram = engine.finish()
+                runs.append((list(diagram), engine.stats()))
+            assert runs[0] == runs[1], (lazy, name)
+            assert diagram_equal(diagram, oracle_reduce(c, field)), (lazy, name)
 
 
 def test_killed_row_is_maximal_row_of_boundary(killed_rows):
@@ -384,10 +409,9 @@ def _sequence(c, options):
 def _run(c, options, field=F2):
     """An engine fed the mode's whole sequence, not yet finished."""
     engine = PersistenceEngine(c, field, options)
-    step = engine.lazy_evaluation if options.lazy else engine.insert
     for simplex in _sequence(c, options):
-        step(simplex)
-    return engine, step
+        engine.insert(simplex)
+    return engine
 
 
 @pytest.mark.parametrize("options", MODES, ids=MODE_IDS)
@@ -458,18 +482,50 @@ def test_top_simplex_inserted_twice_rejected(options, monkeypatch):
     forced = deferred = 0
     for c in canned_complexes().values():
         calls.clear()
-        engine, step = _run(c, replace(options, record_stats=True))
-        # under lazy, every call beyond one per simplex forced a marked face
-        forced += len(calls) - (len(c) if options.lazy else 0)
+        engine = _run(c, replace(options, record_stats=True))
+        # forced faces re-enter through lazy_evaluation, and nothing else does
+        forced += len(calls)
         for simplex in c.filtration_order():
             while engine.is_marked(simplex):
                 deferred += 1
-                step(simplex)  # a deferred creator goes in on its second call
+                engine.insert(simplex)  # a deferred creator goes in on its second call
             before = engine.stats()
             with pytest.raises(SlotAlreadyAssigned):
-                step(simplex)
+                engine.insert(simplex)
             assert engine.stats() == before, simplex
     assert (True in folds, forced > 0, deferred > 0) == (options.lazy,) * 3
+
+
+@pytest.mark.parametrize("options", MODES, ids=MODE_IDS)
+def test_rejected_insertion_changes_nothing(options):
+    # before each simplex of the mode's sequence, every simplex that would
+    # be rejected is tried: one with a face that has not arrived, and one
+    # that has arrived and is not marked. Each call raises before it takes
+    # a row, forces a marked face or charges the field
+    for name, c in canned_complexes().items():
+        engine = PersistenceEngine(c, PrimeField(3), replace(options, record_stats=True))
+        fed = set()
+
+        def state():
+            live = [engine.live_cocycle_count(dim) for dim in range(c.dimension + 1)]
+            return engine.stats(), dict(engine._marked), live, repr(engine._arrivals)
+
+        for simplex in _sequence(c, options):
+            for key, other in enumerate(c.simplex_of):
+                if other in fed:
+                    if engine.is_marked(other):
+                        continue
+                    error = SlotAlreadyAssigned
+                elif all(c.simplex_of[face] in fed for face in c.faces_of[key]):
+                    continue
+                else:
+                    error = MissingFace
+                before = state()
+                with pytest.raises(error):
+                    engine.insert(other)
+                assert state() == before, (name, other)
+            engine.insert(simplex)
+            fed.add(simplex)
 
 
 @pytest.mark.parametrize("options", MODES, ids=MODE_IDS)
@@ -500,7 +556,7 @@ def test_top_killer_pairs_with_the_youngest_creator(options):
 @pytest.mark.parametrize("options", MODES, ids=MODE_IDS)
 def test_zero_boundary_top_simplex_counted_when_created(options):
     c = hollow_triangle()  # top dimension 1; edge (1, 2) closes the loop
-    engine, _ = _run(c, options)
+    engine = _run(c, options)
     # deferred under lazy, so not yet a live class
     assert engine.is_marked((1, 2)) == options.lazy
     assert engine.live_cocycle_count(1) == (0 if options.lazy else 1)
@@ -610,10 +666,9 @@ def _nonzero_boundary_sums(engine, simplices) -> list:
 def test_boundary_sums_vanish_after_each_insertion(options, p):
     for name, c in canned_complexes().items():
         engine = PersistenceEngine(c, PrimeField(p), options)
-        step = engine.lazy_evaluation if options.lazy else engine.insert
         fed = []
         for simplex in _sequence(c, options):
-            step(simplex)
+            engine.insert(simplex)
             fed.append(simplex)
             live = [s for s in fed if not engine.is_marked(s)]
             assert _nonzero_boundary_sums(engine, live) == [], (name, simplex)
@@ -633,7 +688,7 @@ def validity_inputs():
 def test_boundary_sums_vanish_after_finish(validity_inputs, p):
     for i, c in enumerate(validity_inputs):
         for options in MODES:
-            engine, _ = _run(c, options, PrimeField(p))
+            engine = _run(c, options, PrimeField(p))
             engine.finish()
             simplices = c.filtration_order()
             assert _nonzero_boundary_sums(engine, simplices) == [], (i, options)

@@ -252,9 +252,8 @@ def test_diagram_unchanged_under_block_permutation(values, data):
             field = PrimeField(p)
             expected, _ = compute_persistence(tree, field, options)
             engine = PersistenceEngine(tree, field, options)
-            step = engine.lazy_evaluation if options.lazy else engine.insert
             for simplex in fed:
-                step(simplex)
+                engine.insert(simplex)
             diagram = engine.finish()
             assert diagram.multiset() == expected.multiset(), (p, options)
             standard = oracle_reduce(by_position, field, emit_zero_length=True)
