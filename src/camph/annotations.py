@@ -13,21 +13,23 @@ each coefficient only in the column's key, and indexes each live row by
 the columns with an entry there, so that destroying a cocycle touches only
 the columns that actually meet its row (the paper's doubly linked row
 lists, with the same O(1) insert and delete). Each slot points straight at
-a column; killers share one zero column. A column that becomes equal to a
-stored one forwards to it, and one that a kill cancels forwards to the
-zero column, so the forwarding pointers form a union-find forest over
-columns, walked with path compression.
+a column, and each column lists the slots that point at it; killers share
+one zero column, whose slot list is the zero set. A column that a kill
+cancels moves all of its slots to the zero column at once, and of two
+columns that a kill makes equal, the one with fewer slots moves them to
+the other (union by size), so a slot moves to a nonzero column at most
+log2(#slots) times and a lookup never changes the matrix.
 
-A signed boundary sum over slots known to hold the zero column (assigned
-it, or found there by a lookup) is () at once. Any other sum reads each
-face's column straight from the slot map, and a sum with at most one
-nonzero term is that term, negated at an odd position, with no
-accumulation: on flag complexes most face annotations are zero.
+A signed boundary sum over slots of the zero column is () at once. Any
+other sum reads each face's column straight from the slot map, and a sum
+with at most one nonzero term is that term, negated at an odd position,
+with no accumulation: on flag complexes most face annotations are zero.
 
 Destroying a cocycle with boundary annotation a_bd costs one modular
 inverse, then O(|column| + |a_bd|) per touched column: one merge pass over
 the rows in the support of a_bd, which changes the row index only where an
-entry appears or cancels.
+entry appears or cancels, plus the slots moved when a column cancels or
+collides.
 
 A fold stands for a creation that a kill undoes at once. A slot created
 on row r and then summed with other slots s (at sign c = +-1) gives
@@ -61,20 +63,20 @@ _PAST_LAST = (math.inf,)
 
 
 class _Column:
-    """One annotation vector shared by the slots that point at it.
+    """One annotation vector and the set of slots that point at it.
 
-    A column is stored (the only one with its nonzero key), the zero
-    column (key ``()``, stored nowhere) or forwarded: ``forward`` is the
-    column it became equal to, and it keeps no key and no row entries.
-    Hashed by identity, so a row dict keyed by columns costs O(1) per
-    operation whatever the vector's length.
+    A column is stored (the only one with its nonzero key) or the zero
+    column (key ``()``, stored nowhere); a column that a kill cancels or
+    merges is dropped once its slots have moved. Hashed by identity, so a
+    row dict keyed by columns costs O(1) per operation whatever the
+    vector's length.
     """
 
-    __slots__ = ("key", "forward")
+    __slots__ = ("key", "slots")
 
     def __init__(self, key: AnnotationVector):
         self.key = key
-        self.forward: _Column | None = None
+        self.slots: set = set()
 
 
 class CompressedAnnotationMatrix:
@@ -82,8 +84,8 @@ class CompressedAnnotationMatrix:
 
     Slots are caller-chosen hashable ids (one per simplex). Each slot is
     assigned exactly once, either to a fresh unit column (creation) or to
-    the shared zero column (destruction); later updates may forward a
-    column to an equal one, or to the zero column when it cancels. The
+    the shared zero column (destruction); later kills may move it to an
+    equal column, or to the zero column when its column cancels. The
     caller gives each class a row above those of every older class and
     never reuses one, so the maximal row of a boundary annotation is
     always the youngest contributing cocycle.
@@ -94,12 +96,11 @@ class CompressedAnnotationMatrix:
         self._debug = debug
         self._columns: dict[AnnotationVector, _Column] = {}
         # live row -> the columns with a nonzero there, in the insertion order
-        # that decides which of two colliding columns survives a kill
+        # that decides which of two colliding columns of equal slot counts
+        # survives a kill
         self._rows: dict[int, dict[_Column, None]] = {}
         self._slots: dict[object, _Column] = {}
         self._zero = _Column(())
-        # slots assigned the zero column or found there by a lookup
-        self._zero_slots: set = set()
         self._nnz = 0
 
     # ------------------------------------------------------------------
@@ -140,30 +141,27 @@ class CompressedAnnotationMatrix:
         self._assign(slot, ())
 
     def find_annotation(self, slot) -> AnnotationVector:
-        """Vector of the column the slot points at, after any forwards."""
+        """Vector of the column the slot points at."""
         column = self._slots.get(slot)
         if column is None:
             raise UnassignedSlot(f"slot {slot!r} has no annotation")
-        if column.forward is not None:
-            column = self._find(slot)
         return column.key
 
     def signed_sum(self, slots) -> AnnotationVector:
         """Sum over j of (-1)^j times the annotation of ``slots[j]``.
 
-        A sum over slots known to hold the zero column (assigned it, or
-        found there by an earlier lookup) is () with no lookup. Otherwise
-        each slot's column is read from the slot map directly, following
-        and compressing its forwards as ``find_annotation`` does. When at
-        most one term is nonzero, that term, negated at an odd position, is
-        the sum. Otherwise one dict accumulates the sum with inline
-        arithmetic, so no negated copy is built. Either way the field is
-        charged what negating every odd term and merge-adding the terms in
-        order would cost: one negation per entry of an odd term and one
-        addition per row that a term shares with the running sum. Raises
-        UnassignedSlot at the first slot without an annotation.
+        The matrix does not change. A sum over slots of the zero column is
+        () with no lookup. Otherwise each slot's column is read from the
+        slot map directly; when at most one term is nonzero, that term,
+        negated at an odd position, is the sum, and otherwise one dict
+        accumulates the sum with inline arithmetic, so no negated copy is
+        built. Either way the field is charged what negating every odd term
+        and merge-adding the terms in order would cost: one negation per
+        entry of an odd term and one addition per row that a term shares
+        with the running sum. Raises UnassignedSlot at the first slot
+        without an annotation.
         """
-        if self._zero_slots.issuperset(slots):
+        if self._zero.slots.issuperset(slots):
             return ()
         vec, ops = self._sum(slots)
         if ops:
@@ -217,11 +215,12 @@ class CompressedAnnotationMatrix:
 
         Let (j, c) be the maximal-row entry of the argument. Every column
         holding f != 0 in row j receives ``-f/c`` times the argument, which
-        zeroes row j everywhere at once; a column that cancels forwards to
-        the zero column, and one that collides with a stored column
-        forwards to it. Returns j. Each f is read from the column's key,
-        its only copy; the row index changes only where an entry appears
-        or cancels.
+        zeroes row j everywhere at once; a column that cancels moves its
+        slots to the zero column, and of a column that collides with a
+        stored one and that stored column, the one with fewer slots moves
+        them to the other, which stays stored. Returns j. Each f is read
+        from the column's key, its only copy; the row index changes only
+        where an entry appears or cancels.
 
         The arithmetic is done inline; the field is charged the operations
         of the update: per touched column a negation and a division for
@@ -287,15 +286,20 @@ class CompressedAnnotationMatrix:
             ops += 2 + shared + (n_bd if lam != 1 else 0)
             new_rows = tuple(out_r) + key_rows[i:]
             self._nnz += len(new_rows) - len(key_rows)
-            new_key = (new_rows, tuple(out_c) + key_coeffs[i:]) if new_rows else ()
-            existing = columns.setdefault(new_key, column) if new_key else self._zero
+            if not new_rows:
+                self._repoint(column, self._zero)
+                continue
+            column.key = new_key = (new_rows, tuple(out_c) + key_coeffs[i:])
+            existing = columns.setdefault(new_key, column)
             if existing is not column:
-                # cancelled or equal to a stored column: drop this copy
+                # equal to a stored column: drop the one with fewer slots
+                if len(column.slots) > len(existing.slots):
+                    column, existing = existing, column
+                    columns[new_key] = existing
                 for row in new_rows:
                     del rows[row][column]
                 self._nnz -= len(new_rows)
-                new_key, column.forward = (), existing
-            column.key = new_key
+                self._repoint(column, existing)
         self._field.charge(ops)
         if rows[row_j]:
             raise InvariantViolation(f"row {row_j} survived its destruction")
@@ -316,7 +320,6 @@ class CompressedAnnotationMatrix:
         # column equal to vec, or a new stored column entered in vec's rows
         if not vec:
             column = self._zero
-            self._zero_slots.add(slot)
         elif vec in self._columns:
             column = self._columns[vec]
         else:
@@ -324,6 +327,7 @@ class CompressedAnnotationMatrix:
             for r in vec[0]:
                 self._rows[r][column] = None
             self._nnz += len(vec[0])
+        column.slots.add(slot)
         self._slots[slot] = column
         if self._debug:
             self.check_invariants()
@@ -339,8 +343,6 @@ class CompressedAnnotationMatrix:
                 if slot == held:
                     continue
                 raise UnassignedSlot(f"slot {slot!r} has no annotation")
-            if column.forward is not None:
-                column = self._find(slot)
             if column.key:
                 terms.append((j, column.key))
         p = self._field.p
@@ -372,18 +374,12 @@ class CompressedAnnotationMatrix:
         rows = tuple(sorted(acc))
         return (rows, tuple(map(acc.__getitem__, rows))), ops
 
-    def _find(self, slot) -> _Column:
-        # the end of the slot's forwarding chain; every column on the chain,
-        # and the slot itself, is then pointed straight at it
-        column = root = self._slots[slot]
-        while root.forward is not None:
-            root = root.forward
-        while column is not root:
-            column.forward, column = root, column.forward
-        self._slots[slot] = root
-        if root is self._zero:
-            self._zero_slots.add(slot)
-        return root
+    def _repoint(self, column: _Column, target: _Column) -> None:
+        # move every slot of the dropped ``column`` to ``target``
+        table = self._slots
+        for slot in column.slots:
+            table[slot] = target
+        target.slots |= column.slots
 
     # ------------------------------------------------------------------
     # debug checking
@@ -419,17 +415,16 @@ class CompressedAnnotationMatrix:
             stored += len(rows)
         if not (self._nnz == stored == indexed):
             raise InvariantViolation("nonzero counter out of sync")
-        # every slot's chain ends at the zero column or a stored one, and
-        # every stored column ends some chain; so a forwarded column is
-        # neither stored nor, by the row check above, in any row
-        ends = {}
+        # each slot is in the slot set of the column it points at, the zero
+        # column or a stored one, and in no other set; every stored column
+        # has a slot
         for slot, column in self._slots.items():
-            while column.forward is not None:
-                column = column.forward
-            ends[slot] = column
-        if {end for end in ends.values() if end.key} != set(self._columns.values()):
-            raise InvariantViolation("stored columns and nonzero chain ends differ")
-        if any(not end.key and end is not self._zero for end in ends.values()):
-            raise InvariantViolation("a chain ends at a zero column of its own")
-        if any(ends.get(slot) is not self._zero for slot in self._zero_slots):
-            raise InvariantViolation("a listed zero slot does not resolve to zero")
+            if column is not self._zero and self._columns.get(column.key) is not column:
+                raise InvariantViolation("a slot points at a column neither stored nor zero")
+            if slot not in column.slots:
+                raise InvariantViolation("a slot is missing from its column's slot set")
+        if not all(column.slots for column in self._columns.values()):
+            raise InvariantViolation("a stored column has no slot")
+        listed = len(self._zero.slots) + sum(len(c.slots) for c in self._columns.values())
+        if listed != len(self._slots):
+            raise InvariantViolation("a column lists a slot that points elsewhere")

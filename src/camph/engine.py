@@ -4,7 +4,7 @@ Simplices enter in filtration order. For each one the annotation matrix
 one dimension down returns the signed sum of its boundary faces'
 annotations (signs collapse over Z_2 but the code path is field-generic);
 the engine only tests whether the sum vanishes and hands it back to the
-matrix, which answers a sum over faces it knows to hold zero with no
+matrix, which answers a sum whose faces all hold its zero column with no
 lookup. A vanishing sum starts a fresh cocycle class in the simplex's
 dimension, a nonvanishing sum destroys the youngest class contributing to
 it one dimension below and pairs that class's creator with the new
@@ -63,6 +63,14 @@ from .stats import RunStats, sample
 
 @dataclass
 class EngineOptions:
+    """How a run inserts its simplices and what it records.
+
+    ``reorder`` is read only by ``compute_persistence``, which picks the
+    insertion order: a caller that drives ``PersistenceEngine`` by hand
+    inserts in its own order, and gets reordering only by inserting
+    ``reordered_filtration(complex)``.
+    """
+
     lazy: bool = True
     reorder: bool = True
     record_stats: bool = False

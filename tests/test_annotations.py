@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from itertools import count
 
@@ -189,16 +190,13 @@ def test_zero_slots_list_assigned_zeros_and_found_cancellations():
     # a fold whose other slots sum to zero leaves (), a nonzero sum does not
     assert m.fold("f", 1, ["z", "f"])
     assert m.fold("g", 2, ["g", "a"])  # s = -a, and g gets -s = a
-    assert m.find_annotation("g") == vec((0, 1))
-    assert m._zero_slots == {"z", "f"}
-    # a kill cancels the column that a and g share and forwards it to the
-    # zero column; each slot joins the set only on its own lookup
+    assert m._slots["g"] is m._slots["a"]
+    assert m._zero.slots == {"z", "f"}
+    # a kill cancels the column that a and g share: both slots move to the
+    # zero column at the cancel, before any lookup
     m.kill_cocycle(vec((0, 1)))
-    assert m._zero_slots == {"z", "f"}
-    assert m.signed_sum(["a", "z"]) == ()
-    assert m._zero_slots == {"z", "f", "a"}
-    assert m.find_annotation("g") == ()
-    assert m._zero_slots == {"z", "f", "a", "g"}
+    assert m._zero.slots == {"z", "f", "a", "g"}
+    assert all(m._slots[slot] is m._zero for slot in "zfag")
     assert m.distinct_column_count == 0
     # a sum over listed slots is () with no lookup, but still refuses an
     # unassigned slot
@@ -272,17 +270,19 @@ def test_kill_updates_multi_entry_column_z2():
 
 
 def test_forward_chain_followed_and_compressed():
-    # with no lookup between the kills, b's column forwards to a's, a's to
-    # x's and x's to w's: b reaches w's column over three forwards
+    # with no lookup between the kills, b's column merges into a's, and the
+    # merged column then takes in x's and w's slots: every slot points
+    # straight at the one stored column
     m = CompressedAnnotationMatrix(F2, debug=True)
     for row, slot in enumerate("wxab"):
         m.create_cocycle(slot, row)
     m.kill_cocycle(vec((2, 1), (3, 1)))  # b's column becomes a's
     m.kill_cocycle(vec((1, 1), (2, 1)))  # a's column becomes x's
     m.kill_cocycle(vec((0, 1), (1, 1)))  # x's column becomes w's
-    assert m.find_annotation("b") == vec((0, 1))
-    assert m._slots["b"] is m._slots["w"]  # compressed onto the chain's end
-    for slot in "wxa":
+    column = m._slots["b"]
+    assert column.slots == set("wxab")
+    assert all(m._slots[slot] is column for slot in "wxab")
+    for slot in "wxab":
         assert m.find_annotation(slot) == vec((0, 1))
     assert m.distinct_column_count == 1
 
@@ -391,20 +391,34 @@ def _bump_nonzero_count(m):
     m._nnz += 1
 
 
+def _move_slot(m, slot, column):
+    # point ``slot`` at ``column``, keeping the slot sets in step
+    m._slots[slot].slots.remove(slot)
+    column.slots.add(slot)
+    m._slots[slot] = column
+
+
 def _point_at_unindexed_column(m):
-    # a copy of slot "a"'s column: equal key, but not the stored object
-    m._slots["b"] = _Column(m.find_annotation("a"))
+    # slot "d" moves to a copy of the column it shares with "c": equal key,
+    # but not the stored object
+    _move_slot(m, "d", _Column(m.find_annotation("d")))
 
 
 def _list_nonzero_slot_as_zero(m):
     # slot "a" holds a stored nonzero column
-    m._zero_slots.add("a")
+    m._zero.slots.add("a")
 
 
 def _end_chain_at_private_zero(m):
-    # a zero column other than the matrix's own, as a cancelled column
-    # would be if it kept its slots instead of forwarding
-    m._slots["d"] = _Column(())
+    # slot "d" moves to a zero column other than the matrix's own, as it
+    # would if its column cancelled and kept its slots
+    _move_slot(m, "d", _Column(()))
+
+
+def _store_column_without_slots(m):
+    # slot "b", the only slot of its stored column, moves to the zero
+    # column and leaves that column stored
+    _move_slot(m, "b", m._zero)
 
 
 @pytest.mark.parametrize(
@@ -413,15 +427,18 @@ def _end_chain_at_private_zero(m):
      _coefficients_longer_than_rows, _store_empty_rows_and_coefficients,
      _list_column_without_entry, _bump_nonzero_count,
      _point_at_unindexed_column, _list_nonzero_slot_as_zero,
-     _end_chain_at_private_zero],
+     _end_chain_at_private_zero, _store_column_without_slots],
 )
 def test_audit_catches_corruption(corrupt):
-    # row 0 holds two columns, vec((0, 1)) and vec((0, 2)); row 2 holds one
+    # row 0 holds two columns, vec((0, 1)) and vec((0, 2)); row 2 holds one,
+    # which slots c and d share
     m = CompressedAnnotationMatrix(F11, debug=True)
     for row, slot in enumerate("abc"):
         m.create_cocycle(slot, row)
     m.kill_cocycle(vec((0, 3), (1, 4)))
+    assert m.fold("d", 3, ["d", "c"])
     assert len(m._rows[0]) == 2
+    assert m._slots["c"].slots == {"c", "d"}
     m.check_invariants()
     corrupt(m)
     with pytest.raises(InvariantViolation):
@@ -440,6 +457,10 @@ def test_audit_catches_corruption(corrupt):
 # multiple of the difference of two, which makes their columns collide.
 # Each step also carries a tuple of slot picks whose annotations and signed
 # sum are checked after the operation; every slot is checked at the end.
+# After every step each slot must point straight at a stored column or the
+# zero column, the lookups must change no slot or slot set, and no slot may
+# have moved to a nonzero column more than log2(#slots) times: union by
+# size at least doubles the slot set a slot is in at each such move.
 
 PRIMES = (2, 3, 7919)
 PATHS = ("survive", "cancel", "merge", "remerge", "cancel_merged")
@@ -519,31 +540,44 @@ def _model_signed_sum(vectors, p) -> tuple[tuple, int]:
     return _vector(acc), ops
 
 
-def _run_program(p, program) -> set[str]:
+def _slot_state(m):
+    """The slot map and every column's slot set, as copies."""
+    columns = (m._zero, *m._columns.values())
+    return dict(m._slots), [(column, set(column.slots)) for column in columns]
+
+
+def _run_program(p, program) -> tuple[set[str], Counter]:
     """Replay ``program`` on an audited matrix and on the dense model,
-    comparing the drawn slots and their signed sum with its field operations
-    after every step, and every slot at the end; returns the update paths
-    hit."""
+    checking after every step what the comment above lists, and every slot
+    at the end; returns the update paths hit and how often each slot moved
+    to a nonzero column."""
     field = OpCountingField(p)
     m = CompressedAnnotationMatrix(field, debug=True)
     model: dict[int, dict[int, int]] = {}
     live: list[int] = []
     rows = count()
     paths: set[str] = set()
+    moves: Counter = Counter()
     for op, terms in program:
+        pointed = dict(m._slots)
         paths |= _apply(m, model, live, rows, op, p)
+        for slot, column in m._slots.items():
+            assert column is m._zero or m._columns.get(column.key) is column, slot
+            if column is not pointed.get(slot, column) and column is not m._zero:
+                moves[slot] += 1
+        assert max(moves.values(), default=0) <= math.log2(len(m._slots))
         slots = [i % len(model) for i in terms]
-        # only the drawn slots are looked up, so the forwarding chains of
-        # the others grow uncompressed until the final check
+        state = _slot_state(m)
         for slot in slots:
             assert m.find_annotation(slot) == _vector(model[slot]), slot
         expected, ops = _model_signed_sum([model[i] for i in slots], p)
         before = field.ops
         assert m.signed_sum(slots) == expected, slots
         assert field.ops - before == ops, slots
+        assert _slot_state(m) == state
     for slot, x in model.items():
         assert m.find_annotation(slot) == _vector(x), slot
-    return paths
+    return paths, moves
 
 
 def _apply(m, model, live, rows, op, p) -> set[str]:
@@ -600,50 +634,37 @@ def test_kill_programs_reach_every_update_path(p, path):
     # find raises NoSuchExample if none of 500 draws reaches this one
     find(
         _programs(p),
-        lambda program: path in _run_program(p, program),
+        lambda program: path in _run_program(p, program)[0],
         settings=settings(max_examples=500, phases=[Phase.generate], database=None),
     )
 
 
-def _links(m, slot) -> int:
-    """Forwards between the column a slot points at and its chain's end."""
-    links, column = 0, m._slots[slot]
-    while column.forward is not None:
-        links, column = links + 1, column.forward
-    return links
-
-
-def _folding_program(p, lookups=()):
-    """Five creations, then four kills that each fold the youngest live
-    column onto the next older one: slot 4's column forwards to slot 3's,
-    3's to 2's, 2's to 1's and 1's to 0's, a chain of four links; every
-    kill after the first collides a column that another already forwards
-    to. ``lookups`` are the slots the last step looks up, before any other
-    lookup."""
+def _folding_program(p):
+    """Five creations, then four kills that each make the youngest live
+    column equal to the next older one: slot 4's column meets slot 3's,
+    and the merged column then meets 2's, 1's and 0's, so every kill after
+    the first collides a column that already stands for two or more slots.
+    The last step looks up slots 4 and 0."""
     folds = [(("random", [(i, p - 1), (i + 1, 1)]), []) for i in (3, 2, 1, 0)]
-    folds[-1] = (folds[-1][0], list(lookups))
+    folds[-1] = (folds[-1][0], [4, 0])
     return [(("create",), [])] * 5 + folds
 
 
 @pytest.mark.parametrize("p", PRIMES)
-def test_folding_program_reaches_a_four_link_chain(p, monkeypatch):
-    longest = []
-    lookup = CompressedAnnotationMatrix.find_annotation
-
-    def measured(self, slot):
-        longest.append(_links(self, slot))
-        return lookup(self, slot)
-
-    monkeypatch.setattr(CompressedAnnotationMatrix, "find_annotation", measured)
-    paths = _run_program(p, _folding_program(p, lookups=[4, 0]))
-    assert longest[0] == 4 and max(longest) == 4
+def test_folding_program_reaches_a_four_link_chain(p):
+    # four merges in a row: union by size keeps the growing column, so each
+    # slot moves once; keeping the older column at every merge would move
+    # slot 4 four times, more than log2(5)
+    paths, moves = _run_program(p, _folding_program(p))
+    assert moves == {4: 1, 2: 1, 1: 1, 0: 1}
     assert {"merge", "remerge"} <= paths
 
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_signed_sum_follows_and_compresses_forwards(p):
-    # signed_sum meets the four-link chain before any find_annotation call,
-    # so its own read of the slot map must follow and compress it
+    # after the folding program's four merges, with no lookup between them,
+    # slots 0-4 point straight at one stored column; signed_sum reads the
+    # slot map and, like find_annotation, changes no slot or slot set
     field = OpCountingField(p)
     m = CompressedAnnotationMatrix(field, debug=True)
     model = {}
@@ -656,49 +677,31 @@ def test_signed_sum_follows_and_compresses_forwards(p):
         a_bd = vec((i, p - 1), (i + 1, 1))
         m.kill_cocycle(a_bd)
         model = {slot: _dense_kill(x, a_bd, p) for slot, x in model.items()}
-    assert _links(m, 4) == 4
+    column = m._slots[0]
+    assert column.slots == {0, 1, 2, 3, 4}
+    assert all(m._slots[slot] is column for slot in range(5))
+    state = _slot_state(m)
     # many terms, one term at an odd position, one at an even one, none
     for slots in ([4, 5, 2, 6, 3], [6, 4], [3, 6], [6, 6]):
         expected, ops = _model_signed_sum([model[i] for i in slots], p)
         before = field.ops
         assert m.signed_sum(slots) == expected, slots
         assert field.ops - before == ops, slots
-    # every slot the sums read now points at its chain's end; slot 1, never
-    # read, still forwards once
-    assert [_links(m, slot) for slot in range(6)] == [0, 1, 0, 0, 0, 0]
-    assert m._slots[4] is m._slots[0]
     for slot, x in model.items():
         assert m.find_annotation(slot) == _vector(x), slot
+    assert _slot_state(m) == state
 
 
-@pytest.mark.parametrize("p,links", [(2, 3), (3, 2), (7919, 2)])
-def test_kill_programs_reach_forward_chains(p, links, monkeypatch):
-    # some find_annotation call of the drawn programs follows a forwarding
-    # chain of ``links`` links (the engine meets up to 4 on the bench
-    # inputs); the search is derandomized, so its 500 draws are fixed
-    longest = 0
-    lookup = CompressedAnnotationMatrix.find_annotation
-
-    def measured(self, slot):
-        nonlocal longest
-        longest = max(longest, _links(self, slot))
-        return lookup(self, slot)
-
-    monkeypatch.setattr(CompressedAnnotationMatrix, "find_annotation", measured)
-
-    def reaches(program):
-        nonlocal longest
-        longest = 0
-        _run_program(p, program)
-        return longest >= links
-
-    find(
-        _programs(p),
-        reaches,
-        settings=settings(
-            max_examples=500, phases=[Phase.generate], database=None, derandomize=True
-        ),
-    )
+@pytest.mark.parametrize("p", PRIMES)
+def test_merged_pairs_move_a_slot_twice(p):
+    # slots 1 and 3 merge into 0's and 2's columns, then the two merged
+    # columns meet with two slots each: on the tie the rewritten pair moves,
+    # so slot 3 moves twice, exactly log2(4). The picks index the live rows
+    # (0 1 2 3, then 0 2 3, then 0 2)
+    merge = [(("random", [(i, p - 1), (j, 1)]), []) for i, j in ((0, 1), (1, 2), (0, 1))]
+    paths, moves = _run_program(p, [(("create",), [])] * 4 + merge)
+    assert moves == {1: 1, 2: 1, 3: 2}
+    assert {"merge", "remerge"} <= paths
 
 
 # ----------------------------------------------------------------------

@@ -134,23 +134,23 @@ def test_missing_face_detected():
 
 
 def test_missing_face_named_when_every_other_face_is_zero():
-    # (0, 1) and (0, 2) are killers, so the edge matrix lists them as zero;
+    # (0, 1) and (0, 2) are killers, so they are the zero column's slots;
     # the triangle's sum is not skipped as zero but reports the missing (1, 2)
     c = full_triangle()
     engine = PersistenceEngine(c, F2, STANDARD)
     for simplex in [(0,), (1,), (2,), (0, 1), (0, 2)]:
         engine.insert(simplex)
-    assert engine._matrices[1]._zero_slots == {c.key((0, 1)), c.key((0, 2))}
+    assert engine._matrices[1]._zero.slots == {c.key((0, 1)), c.key((0, 2))}
     with pytest.raises(MissingFace, match=r"face \(1, 2\) of \(0, 1, 2\)"):
         engine.insert((0, 1, 2))
 
 
 def test_zero_slots_hold_the_zero_annotation(monkeypatch):
     # a matrix skips a boundary sum whose slots are all in its zero set, so
-    # every slot there must hold (): killers, folds that leave (), which
-    # lazy insertion reaches on the Rips corpus, and slots whose column a
-    # kill cancelled; once every slot has been looked up, the set is
-    # exactly the slots that hold ()
+    # after every insertion, before any lookup, the set must be exactly the
+    # slots that hold (): killers, folds that leave (), which lazy
+    # insertion reaches on the Rips corpus, and slots whose column a kill
+    # cancelled
     fold = CompressedAnnotationMatrix.fold
     folded = set()
 
@@ -166,13 +166,12 @@ def test_zero_slots_hold_the_zero_annotation(monkeypatch):
         folded.clear()
         engine = PersistenceEngine(c, F11)
         for simplex in c.filtration_order():
-            engine.lazy_evaluation(simplex)
-        for matrix in engine._matrices:
-            zero = set(matrix._zero_slots)
-            zero_folds += len(zero & folded)
-            assert all(matrix.find_annotation(key) == () for key in zero)
-            holding_zero = {k for k in matrix._slots if matrix.find_annotation(k) == ()}
-            assert matrix._zero_slots == holding_zero
+            engine.insert(simplex)
+            for matrix in engine._matrices:
+                zero = set(matrix._zero.slots)
+                holding_zero = {k for k in matrix._slots if matrix.find_annotation(k) == ()}
+                assert zero == holding_zero
+        zero_folds += sum(len(m._zero.slots & folded) for m in engine._matrices)
         assert diagram_equal(engine.finish(), oracle_reduce(c, F11))
     assert zero_folds
 
