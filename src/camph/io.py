@@ -7,14 +7,34 @@ output is byte-stable and reads back exactly.
 - point cloud:   ``x_1 x_2 ... x_D``         (one point per line)
 - filtration:    ``value v_0 v_1 ... v_k``   (one simplex per line)
 - diagram:       ``dim birth death``         (``inf`` for essential classes)
+
+A filtration is read column by column, in chunks of about ``_CHUNK``
+characters of whole lines. The data lines of a chunk are grouped by
+token count, and each group's value and vertex columns are converted
+and checked with one pass apiece. A file that fails a check is scanned
+again, line by line, only to name its first faulty line.
 """
 from __future__ import annotations
 
 import math
+from itertools import groupby, repeat
+from operator import add, lt
 
 from .diagram import PersistenceDiagram
-from .errors import ParseError
+from .errors import InvariantViolation, ParseError
 from .simplex_tree import SimplexTree, _checked
+
+# Characters read_filtration asks for at a time; a chunk ends at the first
+# line end after them, exactly where iterating over the file would.
+_CHUNK = 8192
+
+
+class _Ids(dict):
+    """Vertex token -> int, each token converted once per file."""
+
+    def __missing__(self, token: str) -> int:
+        value = self[token] = int(token)
+        return value
 
 
 def _data_lines(path):
@@ -55,30 +75,91 @@ def read_filtration(path) -> SimplexTree:
     surface from finalize().
 
     Each line is checked as SimplexTree.insert_simplex checks a simplex,
-    with the same messages, a simplex listed twice keeps its smaller
-    value, and a value of -0.0 is stored as 0.0.
+    a simplex listed twice keeps its smaller value, and a value of -0.0
+    is stored as 0.0. The checks run on whole columns of a chunk (see
+    the module docstring); when one fails, a line-by-line rescan raises
+    the ParseError, with insert_simplex's message, for the first faulty
+    line in file order.
     """
     values: dict[tuple[int, ...], float] = {}
+    records = []
+    ids = _Ids()
+    with open(path, encoding="utf-8") as fh:
+        while lines := fh.readlines(_CHUNK):
+            for columns in _chunk_columns(lines):
+                group = _group_records(columns, ids)
+                if group is None:
+                    raise _first_fault(path)
+                values.update(zip(*group))
+                records.append(group)
+    if len(values) < sum(len(simplices) for simplices, _ in records):
+        # some simplex is listed twice, and its last listing won
+        for simplices, group_values in records:
+            for simplex, value in zip(simplices, group_values):
+                if value < values[simplex]:
+                    values[simplex] = value
+    return SimplexTree._from_values(values)
+
+
+def _chunk_columns(lines: list[str]) -> list[list[tuple[str, ...]]]:
+    """The token columns of each group of the chunk's data lines that
+    share a token count."""
+    rows = [row for row in map(str.split, lines) if row and row[0][0] != "#"]
+    groups: dict[int, list[list[str]]] = {}
+    for size, run in groupby(rows, len):
+        groups.setdefault(size, []).extend(run)
+    return [list(zip(*group)) for group in groups.values()]
+
+
+def _group_records(
+    columns: list[tuple[str, ...]], ids: _Ids
+) -> tuple[list[tuple[int, ...]], list[float]] | None:
+    """The simplices and values of a group of lines with one token count,
+    or None if a line in it is faulty."""
+    if len(columns) < 2:
+        return None
+    try:
+        # + 0.0 reads -0.0 as 0.0, as _checked does
+        values = list(map(add, map(float, columns[0]), repeat(0.0)))
+        vertices = [list(map(ids.__getitem__, column)) for column in columns[1:]]
+    except ValueError:
+        return None
+    if not all(map(math.isfinite, values)):
+        return None
+    if _ascending(vertices):
+        simplices = list(zip(*vertices))
+    else:
+        simplices = [tuple(sorted(simplex)) for simplex in zip(*vertices)]
+        vertices = list(zip(*simplices))
+        if not _ascending(vertices):
+            return None
+    # ascending ids are distinct, and non-negative if the first is
+    if min(vertices[0]) < 0:
+        return None
+    return simplices, values
+
+
+def _ascending(columns) -> bool:
+    """Whether every row is strictly ascending across the columns."""
+    return all(all(map(lt, left, right)) for left, right in zip(columns, columns[1:]))
+
+
+def _first_fault(path) -> ParseError:
+    """The ParseError for the first faulty line of the file at ``path``."""
     for lineno, line in _data_lines(path):
         tokens = line.split()
         if len(tokens) < 2:
-            raise ParseError("expected: value v0 [v1 ...]", path=path, line=lineno)
+            return ParseError("expected: value v0 [v1 ...]", path=path, line=lineno)
         try:
-            value = float(tokens[0]) + 0.0  # -0.0 is read as 0.0, as _checked does
-            verts = sorted(map(int, tokens[1:]))
+            value = float(tokens[0])
+            verts = list(map(int, tokens[1:]))
         except ValueError as exc:
-            raise ParseError(f"bad token ({exc})", path=path, line=lineno)
-        simplex = tuple(verts)
-        if verts[0] < 0 or len(set(verts)) < len(verts) or not math.isfinite(value):
-            # _checked raises with the message insert_simplex gives
-            try:
-                _checked(simplex, value)
-            except ValueError as exc:
-                raise ParseError(str(exc), path=path, line=lineno)
-        old = values.get(simplex)
-        if old is None or value < old:
-            values[simplex] = value
-    return SimplexTree._from_values(values)
+            return ParseError(f"bad token ({exc})", path=path, line=lineno)
+        try:
+            _checked(verts, value)
+        except ValueError as exc:
+            return ParseError(str(exc), path=path, line=lineno)
+    raise InvariantViolation(f"{path}: a check failed, but no line is faulty")
 
 
 def format_diagram(diagram: PersistenceDiagram) -> str:
