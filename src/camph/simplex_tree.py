@@ -8,7 +8,7 @@ their input themselves and hand over the whole dict at once through
 SimplexTree._from_values(), with no call per simplex.
 
 Either way, finalize() is the one place that freezes the complex. It
-sorts the simplices into filtration order once and numbers them: a
+puts the simplices in filtration order once and numbers them: a
 simplex's key is its filtration position, and per-key views give each
 key's vertex tuple, value, dimension and boundary face keys, so the
 engine and the reordering never look a simplex up again. Closure and
@@ -18,6 +18,7 @@ valid filtration every face is numbered before its cofaces.
 from __future__ import annotations
 
 import math
+from operator import lt
 from typing import Iterable
 
 from .errors import ClosureViolation, MonotonicityViolation, UnknownSimplex
@@ -100,17 +101,34 @@ class SimplexTree:
     def finalize(self) -> None:
         """Validate closure under faces and value monotonicity, then freeze.
 
-        Simplices are numbered in filtration order. In a valid filtration
-        every face comes earlier, so a face without a key is either
-        missing or valued above its coface.
+        Simplices are numbered in filtration order, (value, dimension,
+        lexicographic vertex tuple). When the simplices were stored in
+        lexicographic order, as build_rips stores them, a stable sort by
+        size and then one by value give that order without comparing
+        vertex tuples; otherwise (value, size, vertex tuple) records are
+        sorted. In a valid filtration every face comes earlier, so a
+        face without a key is either missing or valued above its coface.
         """
         if self._finalized:
             return
-        records = sorted([(value, len(s), s) for s, value in self._values.items()])
-        simplex_of = tuple([s for _, _, s in records])
-        value_of = tuple([value for value, _, _ in records])
-        dim_of = tuple([size - 1 for _, size, _ in records])
-        del records
+        values = self._values
+        later = iter(values)
+        next(later, None)
+        if all(map(lt, values, later)):
+            # both sorts are stable: equal values stay in size order, and
+            # equal sizes in lexicographic order
+            order = sorted(values, key=len)
+            order.sort(key=values.__getitem__)
+            simplex_of = tuple(order)
+            del order
+            value_of = tuple(map(values.__getitem__, simplex_of))
+            dim_of = tuple([len(s) - 1 for s in simplex_of])
+        else:
+            records = sorted([(value, len(s), s) for s, value in values.items()])
+            simplex_of = tuple([s for _, _, s in records])
+            value_of = tuple([value for value, _, _ in records])
+            dim_of = tuple([size - 1 for _, size, _ in records])
+            del records
         keys: dict[Simplex, int] = {}
         faces = []
         append = faces.append

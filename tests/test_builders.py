@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from camph import PrimeField, build_rips, compute_persistence, diagram_equal
+from camph.builders import _CELL_MARGIN
 from camph.errors import DimensionMismatch
 
 from tests.fixtures import random_rips_corpus, torus_point_sample
@@ -240,6 +241,27 @@ def test_sweep_measures_every_pair_in_reach(width, data):
     assert built == _all_pairs_simplices(points, max_edge_length, max_dim)
 
 
+def _on_second(lo: float, hi: float) -> list[tuple[float, float]]:
+    """Two points that differ only on the second coordinate, and a third
+    that makes the first coordinate the widest, so the sweep's."""
+    return [(0.0, lo), (0.0, hi), (3.0, lo)]
+
+
+# an edge of the cells on the second coordinate for a reach of 1.0
+_EDGE = 2.0 * _CELL_MARGIN
+_BELOW_EDGE = math.nextafter(_EDGE, 0.0)
+_ABOVE_EDGE = math.nextafter(_EDGE, 3.0)
+# a coincident pair near the float limit, and a pair 1e-300 apart near 0
+_HUGE = [
+    (-1e300, 1e300),
+    (1e300, -1e300),
+    (1e300, 1e300),
+    (1e300, 1e300),
+    (0.0, 0.0),
+    (0.0, 1e-300),
+]
+
+
 @pytest.mark.parametrize(
     "points, max_edge_length, size",
     [
@@ -261,6 +283,40 @@ def test_sweep_measures_every_pair_in_reach(width, data):
         pytest.param([(-1e-200,), (1e-200,), (0.0,), (-0.0,)], 0.0, 14, id="signs-tiny"),
         # an infinite reach measures every pair
         pytest.param([(0.0,), (1e100,), (-1e100,), (3.0,)], math.inf, 14, id="infinite"),
+        # the reach apart on the second coordinate, the one with cells, and
+        # one ulp either side: at 2.0, where cells exactly as wide as the
+        # reach would have an edge (1.0 - 2**-53 and 2.0 are 1.0 + 2**-53
+        # apart, which rounds to the reach, yet those cells are 2 apart),
+        # and at an edge of the slightly wider cells
+        pytest.param(_on_second(math.nextafter(1.0, 0.0), 2.0), 1.0, 4, id="2nd-below"),
+        pytest.param(_on_second(1.0, 2.0), 1.0, 4, id="2nd-reach-edge"),
+        pytest.param(_on_second(1.0, math.nextafter(2.0, 3.0)), 1.0, 3, id="2nd-above"),
+        pytest.param(_on_second(_EDGE - 1.0, _BELOW_EDGE), 1.0, 4, id="2nd-cell-below"),
+        pytest.param(_on_second(_EDGE - 1.0, _EDGE), 1.0, 4, id="2nd-cell-edge"),
+        pytest.param(_on_second(_EDGE - 1.0, _ABOVE_EDGE), 1.0, 3, id="2nd-cell-above"),
+        pytest.param(
+            [(0.0, 5.0), (0.5, 5.0), (1.0, 5.0), (2.0, 5.0)], 1.0, 9, id="2nd-constant"
+        ),
+        # gaps of 3 reaches whose squares underflow to 0.0: in reach
+        pytest.param(
+            [(0.0, 0.0), (0.0, 3e-200), (1e-199, 0.0)], 1e-200, 7, id="2d-underflow"
+        ),
+        # |y| / reach overflows to inf, and squares underflow to 0.0
+        pytest.param(_HUGE, 1e-300, 8, id="huge-coordinates-tiny-reach"),
+        pytest.param(_HUGE, 1e-100, 8, id="huge-coordinates"),
+        # a point 10**13 cells from 0
+        pytest.param([(1e10, 1e10), (0.0, 0.0), (0.0, 1e-3)], 1e-3, 4, id="many-cells"),
+        # no cells: a reach of 0 or inf, or one coordinate
+        pytest.param(
+            [(0.0, 0.0), (0.0, -0.0), (2.0, 1e-200), (2.0, 0.0)], 0.0, 6, id="2d-reach-0"
+        ),
+        pytest.param(
+            [(0.0, 0.0), (1.0, 5.0), (-3.0, 2.0), (2.0, -1.0)],
+            math.inf,
+            14,
+            id="2d-reach-inf",
+        ),
+        pytest.param([(0.0,), (0.4,), (1.0,), (2.5,)], 1.0, 8, id="one-coordinate"),
     ],
 )
 def test_sweep_boundary_cases(points, max_edge_length, size):

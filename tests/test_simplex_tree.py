@@ -2,11 +2,14 @@ import math
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from camph import SimplexTree
+from camph import SimplexTree, read_filtration
 from camph.errors import ClosureViolation, MonotonicityViolation, UnknownSimplex
 
 from tests.fixtures import canned_complexes, full_triangle, two_adjacent_triangles
+from tests.test_properties import closed_filtrations, tree_of
 
 
 def test_insert_and_contains():
@@ -126,13 +129,16 @@ def test_keys_are_filtration_positions():
         t.key((0,))
 
 
-def _full_simplex(size: int, value_of=lambda s: float(len(s)), skip=()) -> SimplexTree:
-    """Every face of the simplex on ``size`` vertices except ``skip``."""
+def _full_simplex(
+    size: int, value_of=lambda s: float(len(s)), skip=(), lexicographic=False
+) -> SimplexTree:
+    """Every face of the simplex on ``size`` vertices except ``skip``,
+    inserted by dimension or in lexicographic order."""
+    faces = [s for k in range(1, size + 1) for s in combinations(range(size), k)]
     t = SimplexTree()
-    for k in range(1, size + 1):
-        for simplex in combinations(range(size), k):
-            if simplex not in skip:
-                t.insert_simplex(simplex, value_of(simplex))
+    for simplex in sorted(faces) if lexicographic else faces:
+        if simplex not in skip:
+            t.insert_simplex(simplex, value_of(simplex))
     return t
 
 
@@ -148,16 +154,29 @@ def test_face_keys_for_every_simplex_size(size):
 
 @pytest.mark.parametrize("size", range(2, 7))
 def test_bad_face_named_for_every_simplex_size(size):
+    _check_bad_face_named(size, lexicographic=False)
+
+
+@pytest.mark.parametrize("size", range(2, 7))
+def test_bad_face_named_after_lexicographic_insertion(size):
+    _check_bad_face_named(size, lexicographic=True)
+
+
+def _check_bad_face_named(size: int, lexicographic: bool) -> None:
     # faces are looked up in boundary order, so the first bad one is named;
     # faces 0 and size - 1 of the top simplex are faces of nothing else
     top = tuple(range(size))
-    t = _full_simplex(size, skip=(top[1:], top[:-1]))
+    t = _full_simplex(size, skip=(top[1:], top[:-1]), lexicographic=lexicographic)
     with pytest.raises(ClosureViolation) as err:
         t.finalize()
     assert str(err.value) == f"simplex {top} is stored but its face {top[1:]} is not"
     assert not t.finalized
     late = top[:-1]
-    t = _full_simplex(size, lambda s: 9.0 if s == late else float(len(s)))
+
+    def value_of(s):
+        return 9.0 if s == late else float(len(s))
+
+    t = _full_simplex(size, value_of, lexicographic=lexicographic)
     with pytest.raises(MonotonicityViolation) as err:
         t.finalize()
     assert str(err.value) == (
@@ -222,3 +241,38 @@ def test_negative_zero_stored_as_zero():
     t.insert_simplex([0, 1], -0.0)
     t.finalize()
     assert [math.copysign(1.0, v) for v in t.value_of] == [1.0, 1.0, 1.0]
+
+
+def _record_sorted(values: dict[tuple[int, ...], float]) -> tuple:
+    """simplex_of, value_of, dim_of and faces_of, from one sort of
+    (value, size, vertices) records."""
+    records = sorted((value, len(s), s) for s, value in values.items())
+    simplex_of = tuple(s for _, _, s in records)
+    keys = {s: key for key, s in enumerate(simplex_of)}
+    faces_of = tuple(
+        tuple(keys[s[:j] + s[j + 1 :]] for j in range(len(s))) if len(s) > 1 else ()
+        for s in simplex_of
+    )
+    value_of = tuple(value for value, _, _ in records)
+    return simplex_of, value_of, tuple(size - 1 for _, size, _ in records), faces_of
+
+
+@settings(max_examples=60, deadline=None)
+@given(closed_filtrations(), st.data())
+def test_order_matches_record_sort_in_any_insertion_order(tmp_path_factory, values, data):
+    # finalize sorts a complex inserted in lexicographic order without
+    # comparing vertex tuples, and any other by records; both must give
+    # the record sort's order, faces and views
+    expected = _record_sorted(values)
+    lexicographic = sorted(values)
+    shuffled = data.draw(st.permutations(lexicographic))
+    if len(shuffled) > 1 and shuffled == lexicographic:
+        shuffled.reverse()
+    for order, fast in ((lexicographic, True), (shuffled, len(shuffled) < 2)):
+        tree = tree_of({s: values[s] for s in order})
+        assert (list(tree._values) == sorted(tree._values)) == fast
+        assert (tree.simplex_of, tree.value_of, tree.dim_of, tree.faces_of) == expected
+    path = tmp_path_factory.mktemp("flt") / "shuffled.flt"
+    path.write_text("".join(f"{values[s]!r} {' '.join(map(str, s))}\n" for s in shuffled))
+    read = read_filtration(path)
+    assert (read.simplex_of, read.value_of, read.dim_of, read.faces_of) == expected
