@@ -30,72 +30,43 @@ def _distances(columns, i: int, others: list[int]) -> list[float]:
     return list(map(math.sqrt, acc))
 
 
-# Cells are this much wider than the reach, so that two points two cells
-# apart are out of reach even after their cell indices and their distance
-# are rounded (see _cells).
-_CELL_MARGIN = 1.0 + 2.0**-10
-# Up to this many cells from 0, a rounded cell index is off by at most
-# 2**-21 of a cell, well inside the margin.
-_MAX_CELLS = 2.0**32
-# From this reach up, the square of a gap at least the reach is a normal
-# float, so its rounding error is relative; below it, it may underflow
-# to 0.0 and a wide gap may still be in reach.
-_MIN_REACH = 2.0**-500
-
-
-def _cells(col, max_edge_length: float) -> list[int]:
-    """Each coordinate's cell, ``floor(y / width)`` for cells just wider
-    than the reach; all in cell 0 where such cells would not be exact.
-
-    If two points' cells differ by 2 or more, their gap on this
-    coordinate exceeds the reach by more than 2**-11 of it, although
-    both indices were rounded. Its term in the distance sum, and so the
-    distance, then comes out above the reach, as the subtraction, square
-    and root each round by a relative 2**-53 at most. The argument needs
-    a finite reach of at least _MIN_REACH and indices that stay within
-    _MAX_CELLS of 0.
-    """
-    width = max_edge_length * _CELL_MARGIN
-    in_range = _MIN_REACH <= max_edge_length < math.inf
-    if in_range and max(map(abs, col)) < width * _MAX_CELLS:
-        return [math.floor(y / width) for y in col]
-    return [0] * len(col)
-
-
 def _near(
     rows: list[tuple[float, ...]], max_edge_length: float
 ) -> list[dict[int, float]]:
     """near[v]: each later vertex u within reach of v -> their distance,
     in ascending u order.
 
-    The points are swept in order of their widest coordinate, and only
-    pairs inside the sweep window are candidates. A pair is left out
-    only when one coordinate's term alone, as the distance sum computes
-    it, is out of reach: the terms are non-negative and rounding is
-    monotone, so the whole sum is at least any one term. Along the sweep
-    the term grows, so each window ends where bisect finds it. Within a
-    window, only the points in the same or an adjacent cell of the
-    second-widest coordinate are measured (see _cells); without such
-    cells, every point in the window is.
+    A pair is measured only when its terms on the widest and the
+    second-widest coordinate, as the distance sum computes them, are each
+    in reach: the terms are non-negative and rounding is monotone, so the
+    whole sum is at least any one term. The points are swept in order of their widest
+    coordinate, whose term grows along the sweep, so each window ends
+    where bisect finds it; within a window, the second-widest
+    coordinate's term is tested pair by pair.
     """
     n = len(rows)
     columns = list(zip(*rows))
     # without coordinates every pair is in the window
     widest = sorted(columns, key=lambda col: max(col) - min(col), reverse=True)
     axis = widest[0] if widest else [0.0] * n
-    cells = _cells(widest[1], max_edge_length) if len(widest) > 1 else [0] * n
+    second = widest[1] if len(widest) > 1 else [0.0] * n
     order = sorted(range(n), key=axis.__getitem__)
     xs = [axis[i] for i in order]
-    cs = [cells[i] for i in order]
+    ys = [second[i] for i in order]
     columns = [[col[i] for i in order] for col in columns]
     pairs: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    sqrt = math.sqrt
     for k, v in enumerate(order):
         x = xs[k]
         end = bisect_right(
-            xs, max_edge_length, k + 1, key=lambda y: math.sqrt(0.0 + (y - x) * (y - x))
+            xs, max_edge_length, k + 1, key=lambda a: sqrt(0.0 + (a - x) * (a - x))
         )
-        c = cs[k]
-        others = [j for j in range(k + 1, end) if -2 < cs[j] - c < 2]
+        y = ys[k]
+        others = [
+            j
+            for j, b in enumerate(ys[k + 1 : end], k + 1)
+            if sqrt(0.0 + (b - y) * (b - y)) <= max_edge_length
+        ]
         for j, d in zip(others, _distances(columns, k, others)):
             if d <= max_edge_length:
                 u = order[j]
@@ -111,13 +82,13 @@ def build_rips(points, max_edge_length: float, max_dim: int) -> SimplexTree:
 
     A simplex is included when its diameter (largest pairwise distance) is
     at most ``max_edge_length`` and its dimension at most ``max_dim``; its
-    filtration value is that diameter, with vertices at 0. Only the pairs
-    that a sweep along one coordinate and cells along a second cannot
-    rule out are measured (see _near), each as the square root of the
-    squared coordinate differences added left to right from 0.0. Cliques
-    are grown by intersecting sorted upper-neighbor lists, so
-    enumeration is lexicographic and duplicate-free, and the result is
-    closed and monotone by construction. Each candidate vertex carries
+    filtration value is that diameter, with vertices at 0. A distance is
+    the square root of the squared coordinate differences added left to
+    right from 0.0, measured only for pairs whose terms on the two widest
+    coordinates are each in reach (see _near). Cliques are grown by
+    intersecting sorted upper-neighbor lists, so enumeration is
+    lexicographic and duplicate-free, and the result is closed and
+    monotone by construction. Each candidate vertex carries
     its largest distance to the clique, so a grown clique's diameter
     takes one comparison; the finished value dict goes to the tree in
     one piece, still in lexicographic order, which finalize sorts

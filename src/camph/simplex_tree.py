@@ -189,9 +189,6 @@ class SimplexTree:
     def __len__(self) -> int:
         return len(self._values)
 
-    def __contains__(self, simplex: Iterable[int]) -> bool:
-        return tuple(sorted(simplex)) in self._values
-
     def value(self, simplex: Iterable[int]) -> float:
         verts = tuple(sorted(simplex))
         value = self._values.get(verts)

@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from camph import PrimeField, build_rips, compute_persistence, diagram_equal
-from camph.builders import _CELL_MARGIN
+from camph import PrimeField, build_rips, builders, compute_persistence, diagram_equal
 from camph.errors import DimensionMismatch
 
 from tests.fixtures import random_rips_corpus, torus_point_sample
@@ -210,9 +209,12 @@ def _all_pairs_simplices(points, max_edge_length, max_dim):
     return sorted(out)
 
 
-# a few scales, signs and ties, so that sweep windows end on exact ties
+# a few scales, signs and ties, so that sweep windows end on exact ties,
+# and +-1e200, whose gaps' squares overflow to inf
 _COORDINATES = st.one_of(
-    st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 1e-200, -1e-200, 1e16, 1e16 + 2]),
+    st.sampled_from(
+        [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 1e-200, -1e-200, 1e16, 1e16 + 2, 1e200, -1e200]
+    ),
     st.integers(-4, 4).map(float),
     st.floats(-3.0, 3.0),
 )
@@ -237,8 +239,12 @@ def test_sweep_measures_every_pair_in_reach(width, data):
         )
     )
     max_dim = data.draw(st.integers(0, 3))
-    built = _simplices(build_rips(points, max_edge_length, max_dim))
-    assert built == _all_pairs_simplices(points, max_edge_length, max_dim)
+    expected = _all_pairs_simplices(points, max_edge_length, max_dim)
+    if any(value == math.inf for _, value in expected):
+        with pytest.raises(ValueError, match="is not finite"):
+            build_rips(points, max_edge_length, max_dim)
+    else:
+        assert _simplices(build_rips(points, max_edge_length, max_dim)) == expected
 
 
 def _on_second(lo: float, hi: float) -> list[tuple[float, float]]:
@@ -247,8 +253,9 @@ def _on_second(lo: float, hi: float) -> list[tuple[float, float]]:
     return [(0.0, lo), (0.0, hi), (3.0, lo)]
 
 
-# an edge of the cells on the second coordinate for a reach of 1.0
-_EDGE = 2.0 * _CELL_MARGIN
+# a pair exactly a reach of 1.0 apart at 1 + 2**-9 and 2 + 2**-9 on the
+# second coordinate, and its upper point one ulp either side
+_EDGE = 2.0 * (1.0 + 2.0**-10)
 _BELOW_EDGE = math.nextafter(_EDGE, 0.0)
 _ABOVE_EDGE = math.nextafter(_EDGE, 3.0)
 # a coincident pair near the float limit, and a pair 1e-300 apart near 0
@@ -262,65 +269,98 @@ _HUGE = [
 ]
 
 
-@pytest.mark.parametrize(
-    "points, max_edge_length, size",
-    [
-        # the squared gap underflows to 0.0, so the edge is in reach
-        pytest.param([(0.0,), (1e-200,)], 0.0, 3, id="underflow"),
-        # exactly the reach apart on the sweep coordinate
-        pytest.param([(0.0, 0.0), (1.0, 0.0)], 1.0, 3, id="reach-apart"),
-        pytest.param(
-            [(0.0, 0.0), (0.5, 0.0), (1.0, 0.0), (1.0, 0.0)], 0.5, 9, id="reach-apart-tied"
-        ),
-        # 1e16 + 1.0 rounds to 1e16, the next float is 1e16 + 2
-        pytest.param([(1e16,), (1e16 + 2,), (1e16 + 4,)], 1.0, 3, id="1e16-reach-1"),
-        pytest.param([(1e16,), (1e16 + 2,), (1e16 + 4,)], 2.0, 5, id="1e16-reach-2"),
-        pytest.param([(1e16,), (1e16 + 2,), (1e16 + 4,)], 1.5, 3, id="1e16-reach-1.5"),
-        pytest.param([(1e16, 0.0), (1e16, 1.0), (1e16 + 2, 0.0)], 2.0, 5, id="1e16-2d"),
-        # opposite signs on either side of 0
-        pytest.param([(-0.5,), (0.5,)], 1.0, 3, id="signs"),
-        pytest.param([(-0.5, 1.0), (0.5, -1.0), (-0.0, 0.0)], 1.2, 5, id="signs-2d"),
-        pytest.param([(-1e-200,), (1e-200,), (0.0,), (-0.0,)], 0.0, 14, id="signs-tiny"),
-        # an infinite reach measures every pair
-        pytest.param([(0.0,), (1e100,), (-1e100,), (3.0,)], math.inf, 14, id="infinite"),
-        # the reach apart on the second coordinate, the one with cells, and
-        # one ulp either side: at 2.0, where cells exactly as wide as the
-        # reach would have an edge (1.0 - 2**-53 and 2.0 are 1.0 + 2**-53
-        # apart, which rounds to the reach, yet those cells are 2 apart),
-        # and at an edge of the slightly wider cells
-        pytest.param(_on_second(math.nextafter(1.0, 0.0), 2.0), 1.0, 4, id="2nd-below"),
-        pytest.param(_on_second(1.0, 2.0), 1.0, 4, id="2nd-reach-edge"),
-        pytest.param(_on_second(1.0, math.nextafter(2.0, 3.0)), 1.0, 3, id="2nd-above"),
-        pytest.param(_on_second(_EDGE - 1.0, _BELOW_EDGE), 1.0, 4, id="2nd-cell-below"),
-        pytest.param(_on_second(_EDGE - 1.0, _EDGE), 1.0, 4, id="2nd-cell-edge"),
-        pytest.param(_on_second(_EDGE - 1.0, _ABOVE_EDGE), 1.0, 3, id="2nd-cell-above"),
-        pytest.param(
-            [(0.0, 5.0), (0.5, 5.0), (1.0, 5.0), (2.0, 5.0)], 1.0, 9, id="2nd-constant"
-        ),
-        # gaps of 3 reaches whose squares underflow to 0.0: in reach
-        pytest.param(
-            [(0.0, 0.0), (0.0, 3e-200), (1e-199, 0.0)], 1e-200, 7, id="2d-underflow"
-        ),
-        # |y| / reach overflows to inf, and squares underflow to 0.0
-        pytest.param(_HUGE, 1e-300, 8, id="huge-coordinates-tiny-reach"),
-        pytest.param(_HUGE, 1e-100, 8, id="huge-coordinates"),
-        # a point 10**13 cells from 0
-        pytest.param([(1e10, 1e10), (0.0, 0.0), (0.0, 1e-3)], 1e-3, 4, id="many-cells"),
-        # no cells: a reach of 0 or inf, or one coordinate
-        pytest.param(
-            [(0.0, 0.0), (0.0, -0.0), (2.0, 1e-200), (2.0, 0.0)], 0.0, 6, id="2d-reach-0"
-        ),
-        pytest.param(
-            [(0.0, 0.0), (1.0, 5.0), (-3.0, 2.0), (2.0, -1.0)],
-            math.inf,
-            14,
-            id="2d-reach-inf",
-        ),
-        pytest.param([(0.0,), (0.4,), (1.0,), (2.5,)], 1.0, 8, id="one-coordinate"),
-    ],
-)
+_BOUNDARY_CASES = [
+    # the squared gap underflows to 0.0, so the edge is in reach
+    pytest.param([(0.0,), (1e-200,)], 0.0, 3, id="underflow"),
+    # exactly the reach apart on the sweep coordinate
+    pytest.param([(0.0, 0.0), (1.0, 0.0)], 1.0, 3, id="reach-apart"),
+    pytest.param(
+        [(0.0, 0.0), (0.5, 0.0), (1.0, 0.0), (1.0, 0.0)], 0.5, 9, id="reach-apart-tied"
+    ),
+    # 1e16 + 1.0 rounds to 1e16, the next float is 1e16 + 2
+    pytest.param([(1e16,), (1e16 + 2,), (1e16 + 4,)], 1.0, 3, id="1e16-reach-1"),
+    pytest.param([(1e16,), (1e16 + 2,), (1e16 + 4,)], 2.0, 5, id="1e16-reach-2"),
+    pytest.param([(1e16,), (1e16 + 2,), (1e16 + 4,)], 1.5, 3, id="1e16-reach-1.5"),
+    pytest.param([(1e16, 0.0), (1e16, 1.0), (1e16 + 2, 0.0)], 2.0, 5, id="1e16-2d"),
+    # opposite signs on either side of 0
+    pytest.param([(-0.5,), (0.5,)], 1.0, 3, id="signs"),
+    pytest.param([(-0.5, 1.0), (0.5, -1.0), (-0.0, 0.0)], 1.2, 5, id="signs-2d"),
+    pytest.param([(-1e-200,), (1e-200,), (0.0,), (-0.0,)], 0.0, 14, id="signs-tiny"),
+    # an infinite reach measures every pair
+    pytest.param([(0.0,), (1e100,), (-1e100,), (3.0,)], math.inf, 14, id="infinite"),
+    # the reach apart on the second coordinate, whose term is tested in
+    # the window, and one ulp either side: at 1.0 and 2.0 (1.0 - 2**-53
+    # and 2.0 are 1.0 + 2**-53 apart, which rounds to the reach), and at
+    # _EDGE - 1.0 and _EDGE
+    pytest.param(_on_second(math.nextafter(1.0, 0.0), 2.0), 1.0, 4, id="2nd-below"),
+    pytest.param(_on_second(1.0, 2.0), 1.0, 4, id="2nd-reach-edge"),
+    pytest.param(_on_second(1.0, math.nextafter(2.0, 3.0)), 1.0, 3, id="2nd-above"),
+    pytest.param(_on_second(_EDGE - 1.0, _BELOW_EDGE), 1.0, 4, id="2nd-cell-below"),
+    pytest.param(_on_second(_EDGE - 1.0, _EDGE), 1.0, 4, id="2nd-cell-edge"),
+    pytest.param(_on_second(_EDGE - 1.0, _ABOVE_EDGE), 1.0, 3, id="2nd-cell-above"),
+    pytest.param(
+        [(0.0, 5.0), (0.5, 5.0), (1.0, 5.0), (2.0, 5.0)], 1.0, 9, id="2nd-constant"
+    ),
+    # gaps of 3 reaches whose squares underflow to 0.0: in reach
+    pytest.param(
+        [(0.0, 0.0), (0.0, 3e-200), (1e-199, 0.0)], 1e-200, 7, id="2d-underflow"
+    ),
+    # gaps whose squares overflow to inf, and a gap whose square underflows
+    pytest.param(_HUGE, 1e-300, 8, id="huge-coordinates-tiny-reach"),
+    pytest.param(_HUGE, 1e-100, 8, id="huge-coordinates"),
+    # a point 10**13 reaches from 0
+    pytest.param([(1e10, 1e10), (0.0, 0.0), (0.0, 1e-3)], 1e-3, 4, id="many-cells"),
+    # a reach of 0 or inf, and one coordinate (a second term of 0.0)
+    pytest.param(
+        [(0.0, 0.0), (0.0, -0.0), (2.0, 1e-200), (2.0, 0.0)], 0.0, 6, id="2d-reach-0"
+    ),
+    pytest.param(
+        [(0.0, 0.0), (1.0, 5.0), (-3.0, 2.0), (2.0, -1.0)],
+        math.inf,
+        14,
+        id="2d-reach-inf",
+    ),
+    pytest.param([(0.0,), (0.4,), (1.0,), (2.5,)], 1.0, 8, id="one-coordinate"),
+]
+
+
+@pytest.mark.parametrize("points, max_edge_length, size", _BOUNDARY_CASES)
 def test_sweep_boundary_cases(points, max_edge_length, size):
     built = _simplices(build_rips(points, max_edge_length, 2))
     assert built == _all_pairs_simplices(points, max_edge_length, 2)
     assert len(built) == size
 
+
+@pytest.mark.parametrize(
+    "points, max_edge_length",
+    [
+        pytest.param(torus_point_sample(), 0.5, id="torus-0.5"),
+        pytest.param(torus_point_sample(), 1.5, id="torus-1.5"),
+    ]
+    + [pytest.param(*case.values[:2], id=case.id) for case in _BOUNDARY_CASES],
+)
+def test_measured_pairs_are_in_reach_on_second_coordinate(
+    monkeypatch, points, max_edge_length
+):
+    # _distances gets the columns in their own order, so the second-widest
+    # coordinate keeps its index; one coordinate has no such term
+    columns = list(zip(*points))
+    spans = [max(col) - min(col) for col in columns]
+    widest = sorted(range(len(columns)), key=spans.__getitem__, reverse=True)
+    measure = builders._distances
+    terms = []
+
+    def distances(columns, i, others):
+        if len(widest) > 1:
+            col = columns[widest[1]]
+            y = col[i]
+            terms.extend(math.sqrt(0.0 + (col[j] - y) * (col[j] - y)) for j in others)
+        else:
+            terms.extend(0.0 for _ in others)
+        return measure(columns, i, others)
+
+    monkeypatch.setattr(builders, "_distances", distances)
+    c = build_rips(points, max_edge_length, 1)
+    # every edge was measured, so the wrapper saw the pairs
+    assert len(terms) >= sum(len(s) == 2 for s in c.simplex_of)
+    assert [t for t in terms if not t <= max_edge_length] == []

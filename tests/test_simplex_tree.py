@@ -15,8 +15,9 @@ from tests.test_properties import closed_filtrations, tree_of
 def test_insert_and_contains():
     t = SimplexTree()
     t.insert_simplex([0], 0.0)
-    assert (0,) in t
-    assert (1,) not in t
+    assert t.value((0,)) == 0.0
+    with pytest.raises(UnknownSimplex):
+        t.value((1,))
     assert len(t) == 1
 
 
