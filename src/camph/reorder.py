@@ -2,10 +2,12 @@
 
 Simplices sharing one filtration value may be inserted in any order that
 respects inclusion. Inserting dimension by dimension opens every hole of a
-block before the first one is filled; instead, each block is traversed
-upward to its inclusion-maximal members and each maximal member then emits
-its faces depth-first, so a simplex that closes a hole follows the faces
-it needs as soon as possible and incident maximal simplices stay adjacent.
+block before the first one is filled; instead, each block is climbed to
+its inclusion-maximal members, and the climb emits each one right after
+its faces, depth first, as soon as it reaches it. So a simplex that closes
+a hole follows the faces it needs as soon as possible and incident maximal
+simplices stay adjacent. Climbing and descending share no state, so when
+a descent runs does not change the order.
 
 Filtration keys are ordered by value first, so a block is the contiguous
 key range ``[lo, hi)``, and a face of a member is itself a member exactly
@@ -58,10 +60,13 @@ def _walk(complex, lo: int, hi: int) -> list[int]:
     A face is a member exactly when its key is at least ``lo``. The
     cofacets of one face share a dimension, and inside one block keys of
     one dimension sort as their vertex lists do, so appending in key order
-    gives each face its cofacets in lexicographic order. Both walks stop
-    at keys already flagged for their direction, so each enters a member
-    at most once and the cost is linear in the block size times the
-    dimension.
+    gives each face its cofacets in lexicographic order. A maximal member
+    has no coface in the block, so only the climb, which enters each
+    member once, starts its descent. The climb reads only ``up`` and
+    ``up_seen``, the descent only ``down_seen`` and ``out``, so descending
+    on arrival gives the order of climbing first and descending after.
+    Both walks stop at keys already flagged for their direction, so the
+    cost is linear in the block size times the dimension.
     """
     faces_of = complex.faces_of
     up: dict[int, list[int]] = {}
@@ -74,15 +79,15 @@ def _walk(complex, lo: int, hi: int) -> list[int]:
     down_seen: set[int] = set()
     out: list[int] = []
 
-    def climb(key: int, maximal: list[int]) -> None:
+    def climb(key: int) -> None:
         up_seen.add(key)
         cofaces = up.get(key)
         if cofaces is None:
-            maximal.append(key)
+            descend(key)
             return
         for coface in cofaces:
             if coface not in up_seen:
-                climb(coface, maximal)
+                climb(coface)
 
     def descend(key: int) -> None:
         down_seen.add(key)
@@ -93,31 +98,30 @@ def _walk(complex, lo: int, hi: int) -> list[int]:
         out.append(key)
 
     for key in range(lo, hi):
-        if key in up_seen:
-            continue
-        maximal: list[int] = []
-        climb(key, maximal)
-        for top in maximal:
-            if top not in down_seen:
-                descend(top)
+        if key not in up_seen:
+            climb(key)
     return out
 
 
-def _blocks_to_walk(complex: SimplexTree):
-    """The ``(lo, hi)`` key range of each block the walk may permute.
+def reordered_filtration(complex: SimplexTree) -> list[Simplex]:
+    """The full filtration with every equal-value block reordered.
 
-    One scan over the keys, in order. A block whose every later member has
-    the first member as a face (one edge and the triangles it closes, say)
-    climbs from the first member to all the others and emits them in key
-    order, so it is not walked. The scan leaves a block at the first later
-    member without that face: it skips to the block's end, and only those
-    blocks are walked. This is the rule "every later member has the first
-    as its youngest face": a later member with face ``lo`` and another
-    face ``f`` above it has ``f`` in the block, of ``lo``'s dimension, so
-    ``f`` is an earlier later member that lacks face ``lo``.
+    One scan over the keys, in order, finds the blocks to walk. A block
+    whose every later member has the first member as a face (one edge and
+    the triangles it closes, say) climbs from the first member to all the
+    others and emits them in key order, so it is copied without a walk.
+    The scan leaves a block at the first later member without that face:
+    it walks the block and goes on at the block's end. This is the rule
+    "every later member has the first as its youngest face": a later
+    member with face ``lo`` and another face ``f`` above it has ``f`` in
+    the block, of ``lo``'s dimension, so ``f`` is an earlier later member
+    that lacks face ``lo``.
     """
     value_of, faces_of = complex.value_of, complex.faces_of
+    simplex_of = complex.simplex_of
     n = len(value_of)
+    out: list[Simplex] = []
+    done = 0
     lo, value = 0, None
     key = 0
     while key < n:
@@ -125,19 +129,10 @@ def _blocks_to_walk(complex: SimplexTree):
             lo, value = key, value_of[key]
         elif lo not in faces_of[key]:
             hi = bisect_right(value_of, value, key)
-            yield lo, hi
-            key = hi - 1  # the next key starts a block
+            out += simplex_of[done:lo]
+            out += map(simplex_of.__getitem__, _walk(complex, lo, hi))
+            done = key = hi
+            continue
         key += 1
-
-
-def reordered_filtration(complex: SimplexTree) -> list[Simplex]:
-    """The full filtration with every equal-value block reordered."""
-    simplex_of = complex.simplex_of
-    out: list[Simplex] = []
-    done = 0
-    for lo, hi in _blocks_to_walk(complex):
-        out += simplex_of[done:lo]
-        out += map(simplex_of.__getitem__, _walk(complex, lo, hi))
-        done = hi
     out += simplex_of[done:]
     return out

@@ -121,6 +121,50 @@ def _per_block_order(tree: SimplexTree) -> list[tuple[int, ...]]:
     return out
 
 
+def _two_phase_walk(tree: SimplexTree, lo: int, hi: int) -> list[int]:
+    """The walk of the block ``[lo, hi)`` as PAPER.md words it, as keys:
+    climb from each member not yet climbed, in key order, listing the
+    maximal members in the order the climb reaches them; then emit each
+    maximal member after its in-block faces, depth first."""
+    members = range(lo, hi)
+    faces = {
+        key: [
+            tree.key(face)
+            for face, _ in tree.boundary(tree.simplex_of[key])
+            if tree.key(face) in members
+        ]
+        for key in members
+    }
+    cofaces = {key: [c for c in members if key in faces[c]] for key in members}
+
+    climbed: set[int] = set()
+    maximal: list[int] = []
+
+    def climb(key: int) -> None:
+        climbed.add(key)
+        if not cofaces[key]:
+            maximal.append(key)
+        for coface in cofaces[key]:
+            if coface not in climbed:
+                climb(coface)
+
+    for key in members:
+        if key not in climbed:
+            climb(key)
+
+    emitted: list[int] = []
+
+    def descend(key: int) -> None:
+        for face in faces[key]:
+            if face not in emitted:
+                descend(face)
+        emitted.append(key)
+
+    for top in maximal:
+        descend(top)
+    return emitted
+
+
 # vertices 0-3 at 0.0 form a vertex-only block
 _VERTICES = {(v,): 0.0 for v in range(4)}
 
@@ -149,10 +193,13 @@ _VERTICES = {(v,): 0.0 for v in range(4)}
     }
 )
 def test_key_range_reorder_matches_full_walk(values):
-    # reordered_filtration walks only the blocks one scan over the keys
-    # finds; that must be the per-block rule, and a block the rule keeps
-    # in key order must be one the walk leaves in key order
+    # each block's walk is the two-phase walk of PAPER.md; reordered_filtration
+    # walks only the blocks one scan over the keys finds; that must be the
+    # per-block rule, and a block the rule keeps in key order must be one
+    # the walk leaves in key order
     tree = tree_of(values)
+    for lo, hi in _key_ranges(tree):
+        assert _walk(tree, lo, hi) == _two_phase_walk(tree, lo, hi)
     keys = [key for lo, hi in _key_ranges(tree) for key in _walk(tree, lo, hi)]
     reference = _per_block_order(tree)
     assert reordered_filtration(tree) == reference
