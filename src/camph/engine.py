@@ -138,9 +138,59 @@ class PersistenceEngine:
         """Insert the next simplex, whose faces must all be inserted.
 
         Under ``options.lazy`` a creator is marked, and a marked simplex
-        inserted again goes in as a creator, skipping its boundary sum.
+        inserted again goes in as a creator on its arrival row, skipping
+        its boundary sum. Any other simplex is checked before it changes
+        anything: it is rejected if it is already in, or if one of its
+        faces is neither in nor marked. Only then does it take the next row
+        and force its marked faces in, oldest row first; one pass over the
+        faces finds that most simplices have every face in. The face with
+        the youngest row r is held back: if the signed sum of the other
+        faces is zero or lies below r, that face is folded into the
+        simplex, which then goes in as its killer (see ``_fold``), and only
+        otherwise is it forced too. A zero boundary sum then marks the
+        simplex under lazy and creates a class otherwise; a nonzero sum
+        destroys a class one dimension down.
         """
-        self._insert(self.complex.key(simplex))
+        key = self.complex.key(simplex)
+        if self._finished:
+            raise RuntimeError("finish() was already called")
+        marked = self._marked
+        row = marked.pop(key, None)
+        if row is not None:
+            self._insert_creator(key, row)
+            self._sample()
+            return
+        inserted = self._inserted
+        if inserted[key]:
+            raise SlotAlreadyAssigned(
+                f"simplex {self._simplex_of[key]} was already inserted"
+            )
+        faces = self._faces_of[key]
+        deferred = None
+        for face in faces:
+            if not inserted[face]:
+                deferred = self._marked_faces(key, faces)
+                break
+        row = next(self._arrivals)
+        if deferred:
+            youngest = deferred.pop()
+            for face in deferred:
+                # through lazy_evaluation, so wrappers see every forced face
+                self.lazy_evaluation(self._simplex_of[face])
+            if self._fold(key, youngest, faces):
+                return
+            self.lazy_evaluation(self._simplex_of[youngest])
+        dim = self._dim_of[key]
+        a_bd = self._matrices[dim - 1].signed_sum(faces) if faces else ()
+        if not a_bd:
+            if self._lazy:
+                marked[key] = row
+                return
+            self._insert_creator(key, row)
+        else:
+            killed = self._matrices[dim - 1].kill_cocycle(a_bd)
+            self._insert_killer(key, dim, self._creators[dim - 1].pop(killed))
+        self._sample()
 
     # the name through which forced faces re-enter: bench/sample.py wraps
     # it to count the forced creators of a run
@@ -205,60 +255,6 @@ class PersistenceEngine:
 
     # ------------------------------------------------------------------
     # internals
-
-    def _insert(self, key: int) -> None:
-        """A marked simplex goes in as a creator on its arrival row. Any
-        other simplex is checked before it changes anything: it is
-        rejected if it is already in, or if one of its faces is neither in
-        nor marked. Only then does it take the next row and force its
-        marked faces in, oldest row first; one pass over the faces finds
-        that most simplices have every face in.
-        The face with the youngest row r is held back: if the signed sum of
-        the other faces is zero or lies below r, that face is folded into
-        the simplex, which then goes in as its killer (see ``_fold``), and
-        only otherwise is it forced too. A zero boundary sum then marks the
-        simplex under lazy and creates a class otherwise; a nonzero sum
-        destroys a class one dimension down.
-        """
-        if self._finished:
-            raise RuntimeError("finish() was already called")
-        marked = self._marked
-        row = marked.pop(key, None)
-        if row is not None:
-            self._insert_creator(key, row)
-            self._sample()
-            return
-        inserted = self._inserted
-        if inserted[key]:
-            raise SlotAlreadyAssigned(
-                f"simplex {self._simplex_of[key]} was already inserted"
-            )
-        faces = self._faces_of[key]
-        deferred = None
-        for face in faces:
-            if not inserted[face]:
-                deferred = self._marked_faces(key, faces)
-                break
-        row = next(self._arrivals)
-        if deferred:
-            youngest = deferred.pop()
-            for face in deferred:
-                # through lazy_evaluation, so wrappers see every forced face
-                self.lazy_evaluation(self._simplex_of[face])
-            if self._fold(key, youngest, faces):
-                return
-            self.lazy_evaluation(self._simplex_of[youngest])
-        dim = self._dim_of[key]
-        a_bd = self._matrices[dim - 1].signed_sum(faces) if faces else ()
-        if not a_bd:
-            if self._lazy:
-                marked[key] = row
-                return
-            self._insert_creator(key, row)
-        else:
-            killed = self._matrices[dim - 1].kill_cocycle(a_bd)
-            self._insert_killer(key, dim, self._creators[dim - 1].pop(killed))
-        self._sample()
 
     def _marked_faces(self, key: int, faces: tuple) -> list[int]:
         # the faces of key that are not in, oldest row first; the first, in

@@ -8,11 +8,12 @@ output is byte-stable and reads back exactly.
 - filtration:    ``value v_0 v_1 ... v_k``   (one simplex per line)
 - diagram:       ``dim birth death``         (``inf`` for essential classes)
 
-A filtration is read column by column, in chunks of about ``_CHUNK``
-characters of whole lines. The data lines of a chunk are grouped by
-token count, and each group's value and vertex columns are converted
-and checked with one pass apiece. A file that fails a check is scanned
-again, line by line, only to name its first faulty line.
+A filtration line means what SimplexTree.insert_simplex makes of it. A
+file of valid lines that lists each simplex once is read column by
+column, in chunks of about ``_CHUNK`` characters of whole lines: each
+chunk's data lines are grouped by token count, and each group's columns
+are converted and checked with one pass apiece. Any other file is read
+again with one insert_simplex per line, at about twice the read time.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from operator import add, lt
 
 from .diagram import PersistenceDiagram
 from .errors import InvariantViolation, ParseError
-from .simplex_tree import SimplexTree, _checked
+from .simplex_tree import SimplexTree
 
 # Characters read_filtration asks for at a time; a chunk ends at the first
 # line end after them, exactly where iterating over the file would.
@@ -74,31 +75,53 @@ def read_filtration(path) -> SimplexTree:
     """Load and finalize a filtration; closure/monotonicity violations
     surface from finalize().
 
-    Each line is checked as SimplexTree.insert_simplex checks a simplex,
-    a simplex listed twice keeps its smaller value, and a value of -0.0
-    is stored as 0.0. The checks run on whole columns of a chunk (see
-    the module docstring); when one fails, a line-by-line rescan raises
-    the ParseError, with insert_simplex's message, for the first faulty
-    line in file order.
+    Each line is read as SimplexTree.insert_simplex reads a simplex: a
+    simplex listed twice keeps its smaller value, and -0.0 is stored as
+    0.0. The columnar pass (see the module docstring) rejects a file with
+    a faulty line or a twice-listed simplex; _read_lines then reads it
+    again, raising the ParseError for the first faulty line in file
+    order with insert_simplex's message.
     """
     values: dict[tuple[int, ...], float] = {}
-    records = []
+    listed = 0
     ids = _Ids()
     with open(path, encoding="utf-8") as fh:
         while lines := fh.readlines(_CHUNK):
             for columns in _chunk_columns(lines):
                 group = _group_records(columns, ids)
                 if group is None:
-                    raise _first_fault(path)
+                    _read_lines(path)
+                    raise InvariantViolation(
+                        f"{path}: a check failed, but no line is faulty"
+                    )
                 values.update(zip(*group))
-                records.append(group)
-    if len(values) < sum(len(simplices) for simplices, _ in records):
-        # some simplex is listed twice, and its last listing won
-        for simplices, group_values in records:
-            for simplex, value in zip(simplices, group_values):
-                if value < values[simplex]:
-                    values[simplex] = value
+                listed += len(group[1])
+    if len(values) < listed:  # some simplex is listed twice
+        del values, ids  # freed before the second read builds its own dict
+        tree = _read_lines(path)
+        tree.finalize()
+        return tree
     return SimplexTree._from_values(values)
+
+
+def _read_lines(path) -> SimplexTree:
+    """An unfinalized tree with one insert_simplex per data line of the
+    file at ``path``; raises the ParseError for its first faulty line."""
+    tree = SimplexTree()
+    for lineno, line in _data_lines(path):
+        tokens = line.split()
+        if len(tokens) < 2:
+            raise ParseError("expected: value v0 [v1 ...]", path=path, line=lineno)
+        try:
+            value = float(tokens[0])
+            verts = list(map(int, tokens[1:]))
+        except ValueError as exc:
+            raise ParseError(f"bad token ({exc})", path=path, line=lineno)
+        try:
+            tree.insert_simplex(verts, value)
+        except ValueError as exc:
+            raise ParseError(str(exc), path=path, line=lineno)
+    return tree
 
 
 def _chunk_columns(lines: list[str]) -> list[list[tuple[str, ...]]]:
@@ -119,7 +142,7 @@ def _group_records(
     if len(columns) < 2:
         return None
     try:
-        # + 0.0 reads -0.0 as 0.0, as _checked does
+        # + 0.0 reads -0.0 as 0.0, as insert_simplex does
         values = list(map(add, map(float, columns[0]), repeat(0.0)))
         vertices = [list(map(ids.__getitem__, column)) for column in columns[1:]]
     except ValueError:
@@ -142,24 +165,6 @@ def _group_records(
 def _ascending(columns) -> bool:
     """Whether every row is strictly ascending across the columns."""
     return all(all(map(lt, left, right)) for left, right in zip(columns, columns[1:]))
-
-
-def _first_fault(path) -> ParseError:
-    """The ParseError for the first faulty line of the file at ``path``."""
-    for lineno, line in _data_lines(path):
-        tokens = line.split()
-        if len(tokens) < 2:
-            return ParseError("expected: value v0 [v1 ...]", path=path, line=lineno)
-        try:
-            value = float(tokens[0])
-            verts = list(map(int, tokens[1:]))
-        except ValueError as exc:
-            return ParseError(f"bad token ({exc})", path=path, line=lineno)
-        try:
-            _checked(verts, value)
-        except ValueError as exc:
-            return ParseError(str(exc), path=path, line=lineno)
-    raise InvariantViolation(f"{path}: a check failed, but no line is faulty")
 
 
 def format_diagram(diagram: PersistenceDiagram) -> str:

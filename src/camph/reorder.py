@@ -117,6 +117,8 @@ def reordered_filtration(complex: SimplexTree) -> list[Simplex]:
     the block, of ``lo``'s dimension, so ``f`` is an earlier later member
     that lacks face ``lo``.
     """
+    if not complex.finalized:
+        raise RuntimeError("reordered_filtration() requires a finalized complex")
     value_of, faces_of = complex.value_of, complex.faces_of
     simplex_of = complex.simplex_of
     n = len(value_of)

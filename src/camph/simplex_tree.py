@@ -3,9 +3,9 @@
 While building, the complex is a dict from each simplex's ascending
 vertex tuple to its filtration value. It is filled in one of two ways:
 insert_simplex() checks and stores one simplex at a time, for callers
-that build a complex by hand; read_filtration() and build_rips() check
-their input themselves and hand over the whole dict at once through
-SimplexTree._from_values(), with no call per simplex.
+that build by hand and for read_filtration's line-by-line fallback;
+build_rips() and read_filtration's columnar pass check their input
+themselves and hand the whole dict over through _from_values().
 
 Either way, finalize() is the one place that freezes the complex. It
 puts the simplices in filtration order once and numbers them: a
@@ -24,25 +24,6 @@ from typing import Iterable
 from .errors import ClosureViolation, MonotonicityViolation, UnknownSimplex
 
 Simplex = tuple[int, ...]
-
-
-def _checked(vertices: Iterable[int], value: float) -> tuple[Simplex, float]:
-    """The ascending vertex tuple and float value of one simplex; raises
-    ValueError naming the first fault, as insert_simplex reports it."""
-    verts = tuple(sorted(vertices))
-    if not verts:
-        raise ValueError("a simplex needs at least one vertex")
-    for v in verts:
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            raise ValueError(f"vertex ids must be non-negative ints, got {v!r}")
-    if len(set(verts)) != len(verts):
-        raise ValueError(f"duplicate vertices in {verts}")
-    # + 0.0 turns -0.0 into 0.0: the two compare equal, so keeping both
-    # signs would let the insertion order decide which one is printed
-    value = float(value) + 0.0
-    if not math.isfinite(value):
-        raise ValueError(f"value {value} of {verts} is not finite")
-    return verts, value
 
 
 class SimplexTree:
@@ -77,7 +58,19 @@ class SimplexTree:
         """
         if self._finalized:
             raise RuntimeError("complex is finalized")
-        verts, value = _checked(vertices, value)
+        verts = tuple(sorted(vertices))
+        if not verts:
+            raise ValueError("a simplex needs at least one vertex")
+        for v in verts:
+            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+                raise ValueError(f"vertex ids must be non-negative ints, got {v!r}")
+        if len(set(verts)) != len(verts):
+            raise ValueError(f"duplicate vertices in {verts}")
+        # + 0.0 turns -0.0 into 0.0: the two compare equal, so keeping both
+        # signs would let the insertion order decide which one is printed
+        value = float(value) + 0.0
+        if not math.isfinite(value):
+            raise ValueError(f"value {value} of {verts} is not finite")
         old = self._values.get(verts)
         if old is None or value < old:
             self._values[verts] = value

@@ -15,7 +15,12 @@ from camph import (
     read_points,
 )
 from camph import io
-from camph.errors import ClosureViolation, MonotonicityViolation, ParseError
+from camph.errors import (
+    ClosureViolation,
+    InvariantViolation,
+    MonotonicityViolation,
+    ParseError,
+)
 
 from tests.fixtures import torus_7
 
@@ -121,6 +126,18 @@ def test_read_filtration_surfaces_validation_errors(tmp_path):
         read_filtration(path)
     path.write_text("2.0 0\n0.0 1\n1.0 0 1\n")
     with pytest.raises(MonotonicityViolation):
+        read_filtration(path)
+
+
+def test_rejected_group_without_a_faulty_line_is_an_invariant_violation(
+    tmp_path, monkeypatch
+):
+    # a valid but unclosed file: the line-by-line read must find no faulty
+    # line and report the disagreement before anything finalizes the file
+    path = tmp_path / "open.flt"
+    path.write_text("1.0 0 1\n")
+    monkeypatch.setattr(io, "_group_records", lambda columns, ids: None)
+    with pytest.raises(InvariantViolation, match="no line is faulty"):
         read_filtration(path)
 
 

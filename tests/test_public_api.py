@@ -99,3 +99,25 @@ def test_every_error_is_raised_somewhere():
             raised |= _raised_names(path)
     unraised = declared - raised - {"CamphError"}
     assert not unraised, unraised
+
+
+def _private_imports(path: Path) -> list[str]:
+    """The underscore names that the module at ``path`` imports from a
+    camph module."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "camph"
+        ):
+            names += [f"{node.module}.{alias.name}" for alias in node.names]
+    return [name for name in names if name.rsplit(".", 1)[-1].startswith("_")]
+
+
+def test_no_module_imports_a_private_name():
+    # a private helper shared across modules is API in all but name
+    found = {
+        path.name: names
+        for path in (ROOT / "src" / "camph").glob("*.py")
+        if (names := _private_imports(path))
+    }
+    assert not found, found

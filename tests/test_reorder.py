@@ -4,6 +4,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 from camph import (
     EngineOptions,
     PrimeField,
@@ -125,6 +127,16 @@ def test_reorder_preserves_diagrams():
         base, _ = compute_persistence(c, F2, EngineOptions(lazy=False, reorder=False))
         redo, _ = compute_persistence(c, F2, EngineOptions(lazy=False, reorder=True))
         assert diagram_equal(base, redo)
+
+
+def test_reorder_requires_a_finalized_complex():
+    c = SimplexTree()
+    for simplex in ((0,), (1,), (0, 1)):
+        c.insert_simplex(simplex, 0.0)
+    with pytest.raises(RuntimeError, match="finalized"):
+        reordered_filtration(c)
+    c.finalize()
+    assert sorted(reordered_filtration(c)) == sorted(c.simplex_of)
 
 
 def test_reorder_never_scans_the_whole_complex(monkeypatch):
