@@ -13,14 +13,13 @@ their own modules.
 from .annotations import CompressedAnnotationMatrix
 from .builders import build_rips
 from .diagram import PersistenceDiagram, PersistencePair, diagram_equal
-from .engine import EngineOptions, PersistenceEngine, compute_persistence
+from .engine import EngineOptions, PersistenceEngine, RunStats, compute_persistence
 from .field import PrimeField, is_prime
-from .io import format_diagram, read_filtration, read_points
+from .io import format_diagram, format_stats, read_filtration, read_points
 from .oracle import betti_profile
 from .oracle import reduce as oracle_reduce
 from .reorder import reordered_filtration
 from .simplex_tree import Simplex, SimplexTree
-from .stats import RunStats, format_stats
 from . import errors
 
 __version__ = "0.1.0"

@@ -18,7 +18,6 @@ from .engine import EngineOptions, compute_persistence
 from .errors import CamphError
 from .field import PrimeField
 from .oracle import reduce as oracle_reduce
-from .stats import format_stats
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -138,7 +137,7 @@ def run(args: argparse.Namespace) -> int:
         return EXIT_INTERNAL
 
     text = formats.format_diagram(diagram)
-    stats_text = format_stats(stats) if args.stats else ""
+    stats_text = formats.format_stats(stats) if args.stats else ""
     if args.output:
         try:
             Path(args.output).write_text(text, encoding="utf-8")

@@ -74,5 +74,5 @@ class PersistenceDiagram:
 
 
 def diagram_equal(d1: PersistenceDiagram, d2: PersistenceDiagram) -> bool:
-    """Multiset equality of (dim, birth, death) points."""
-    return d1.multiset() == d2.multiset()
+    """Multiset equality of (dim, birth, death) points: ``d1 == d2``."""
+    return d1 == d2

@@ -45,12 +45,18 @@ unfolded create, sum and kill would have charged, and the run statistics
 count sigma's class at the moment its creation would have stored it, so
 ``G_m``, ``S_m``, nonzeros and field operations are those of the unfolded
 algorithm.
+
+Under ``EngineOptions.record_stats`` the engine samples its matrices into
+its own ``RunStats`` (``_sample``): after each insertion that changes them,
+after ``finish`` flushes its deferred creators, and at the birth of a class
+that may be folded. ``stats()`` returns a copy of the peaks with the field's
+operation count.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .annotations import CompressedAnnotationMatrix
 from .diagram import PersistenceDiagram, PersistencePair
@@ -58,7 +64,6 @@ from .errors import MissingFace, SlotAlreadyAssigned
 from .field import OpCountingField, PrimeField
 from .reorder import reordered_filtration
 from .simplex_tree import SimplexTree
-from .stats import RunStats, sample
 
 
 @dataclass
@@ -76,6 +81,28 @@ class EngineOptions:
     record_stats: bool = False
     emit_zero_length: bool = False
     debug: bool = False
+
+
+@dataclass
+class RunStats:
+    """Counters from one engine run.
+
+    ``field_ops`` counts the Z_p operations (additions, negations,
+    products, divisions) that the inline arithmetic charged to the
+    field. The remaining values are maxima over samples taken after
+    each simplex insertion: ``matrix_nonzeros_peak`` is the total number
+    of stored nonzero entries, ``g_max_total`` the total number of live
+    cocycle rows over all dimensions, and ``s_max_total`` the total
+    number of distinct nonzero columns, with per-dimension peaks
+    alongside.
+    """
+
+    field_ops: int = 0
+    matrix_nonzeros_peak: int = 0
+    g_max_total: int = 0
+    s_max_total: int = 0
+    g_max_by_dim: dict[int, int] = field(default_factory=dict)
+    s_max_by_dim: dict[int, int] = field(default_factory=dict)
 
 
 class PersistenceEngine:
@@ -316,9 +343,37 @@ class PersistenceEngine:
         self._creators[dim][row] = key
 
     def _sample(self, transient: int | None = None) -> None:
-        if self._stats is not None:
-            top_rows = len(self._creators[self._top])
-            sample(self._stats, self._matrices, top_rows, transient)
+        # each live top class, and a folded class at its birth in dimension
+        # transient, counts as one row, distinct column and nonzero
+        stats = self._stats
+        if stats is None:
+            return
+        top = self._top
+        top_rows = len(self._creators[top])
+        total_g = total_s = nnz = top_rows
+        g_max, s_max = stats.g_max_by_dim, stats.s_max_by_dim
+        for dim, matrix in enumerate(self._matrices):
+            g = matrix.live_row_count
+            s = matrix.distinct_column_count
+            if dim == transient:
+                g += 1
+                s += 1
+                nnz += 1
+            total_g += g
+            total_s += s
+            nnz += matrix.nonzero_count
+            if g > g_max.get(dim, -1):
+                g_max[dim] = g
+            if s > s_max.get(dim, -1):
+                s_max[dim] = s
+        if top_rows > g_max.get(top, -1):
+            g_max[top] = s_max[top] = top_rows
+        if total_g > stats.g_max_total:
+            stats.g_max_total = total_g
+        if total_s > stats.s_max_total:
+            stats.s_max_total = total_s
+        if nnz > stats.matrix_nonzeros_peak:
+            stats.matrix_nonzeros_peak = nnz
 
 
 def compute_persistence(

@@ -1,4 +1,4 @@
-"""Text file formats: point clouds, filtrations, diagrams.
+"""Text file formats: point clouds, filtrations, diagrams, run statistics.
 
 One record per line, whitespace-separated; lines whose first nonblank
 character is ``#`` are comments. Floats are written with ``repr`` so
@@ -7,6 +7,7 @@ output is byte-stable and reads back exactly.
 - point cloud:   ``x_1 x_2 ... x_D``         (one point per line)
 - filtration:    ``value v_0 v_1 ... v_k``   (one simplex per line)
 - diagram:       ``dim birth death``         (``inf`` for essential classes)
+- run stats:     ``name=value``              (one counter per line, written only)
 
 A filtration line means what SimplexTree.insert_simplex makes of it. A
 file of valid lines that lists each simplex once is read column by
@@ -22,6 +23,7 @@ from itertools import groupby, repeat
 from operator import add, lt
 
 from .diagram import PersistenceDiagram
+from .engine import RunStats
 from .errors import InvariantViolation, ParseError
 from .simplex_tree import SimplexTree
 
@@ -185,3 +187,17 @@ def format_diagram(diagram: PersistenceDiagram) -> str:
             death_text, last_death = repr(float(death)), death
         lines.append(f"{dim} {birth_text} {death_text}")
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def format_stats(stats: RunStats) -> str:
+    """Flat key-value text rendering."""
+    lines = [
+        f"field_ops={stats.field_ops}",
+        f"matrix_nonzeros_peak={stats.matrix_nonzeros_peak}",
+        f"G_m={stats.g_max_total}",
+        f"S_m={stats.s_max_total}",
+    ]
+    for dim in sorted(set(stats.g_max_by_dim) | set(stats.s_max_by_dim)):
+        lines.append(f"g_m[{dim}]={stats.g_max_by_dim.get(dim, 0)}")
+        lines.append(f"s_m[{dim}]={stats.s_max_by_dim.get(dim, 0)}")
+    return "\n".join(lines) + "\n"

@@ -445,6 +445,60 @@ def test_audit_catches_corruption(corrupt):
         m.check_invariants()
 
 
+def _two_classes():
+    # live rows 0 and 1 over Z_3: slots a and b hold their unit columns,
+    # and killing row 2 left slot c on vec((0, 2), (1, 2))
+    m = CompressedAnnotationMatrix(PrimeField(3), debug=True)
+    for row, slot in enumerate("abc"):
+        m.create_cocycle(slot, row)
+    m.kill_cocycle(vec((0, 1), (1, 1), (2, 1)))
+    assert m.find_annotation("c") == vec((0, 2), (1, 2))
+    return m
+
+
+def _empty_live_row(m):
+    m._rows[5] = {}
+
+
+def _stale_key(m):
+    # a's column, also stored under a key that no column has
+    m._columns[vec((1, 2))] = m._columns[vec((0, 1))]
+
+
+def _descending_rows(m):
+    # c's column, re-keyed with its rows swapped and stored under that key
+    column = m._columns.pop(vec((0, 2), (1, 2)))
+    column.key = ((1, 0), (2, 2))
+    m._columns[column.key] = column
+
+
+def _slot_left_out_of_its_set(m):
+    m._slots["b"].slots.discard("b")
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_empty_live_row, "live row 5 is empty"),
+        (_stale_key, "column stored under a stale key"),
+        (_descending_rows, "column rows not strictly ascending"),
+        (_slot_left_out_of_its_set, "a slot is missing from its column's slot set"),
+    ],
+)
+def test_audit_names_each_corruption(corrupt, message):
+    m = _two_classes()
+    corrupt(m)
+    with pytest.raises(InvariantViolation, match=f"^{message}$"):
+        m.check_invariants()
+
+
+def test_kill_with_a_repeated_maximal_row_is_caught():
+    # the argument names row 1 twice, so zeroing one copy leaves row 1 live
+    m = _two_classes()
+    with pytest.raises(InvariantViolation, match="^row 1 survived its destruction$"):
+        m.kill_cocycle(((1, 1), (1, 1)))
+
+
 
 # ----------------------------------------------------------------------
 # differential test of kill_cocycle against a dense model

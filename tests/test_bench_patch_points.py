@@ -1,8 +1,10 @@
 """The benchmark's samplers reach into camph by name; keep those names there.
 
-The tracer patches camph functions by name, and the count sampler reads
-``reorder.slab_partition``, each block's ``simplices``,
-``OpCountingField.ops`` and ``SimplexTree.cofacets``. A refactor that
+The tracer patches camph functions by name, ``SimplexTree.cofacets``
+among them. The count sampler patches ``engine.reordered_filtration`` and
+reads ``reorder.slab_partition``, each block's ``simplices``,
+``SimplexTree.filtration_order``, ``OpCountingField.ops`` and the
+``RunStats`` that ``compute_persistence`` returns. A refactor that
 renamed or removed one of them would otherwise break only benchmark
 runs, which the test suite does not make.
 """

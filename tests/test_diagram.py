@@ -8,6 +8,7 @@ from camph import (
     PersistencePair,
     PrimeField,
     compute_persistence,
+    diagram_equal,
     oracle_reduce,
 )
 
@@ -56,6 +57,19 @@ def test_diagram_pairs_keep_their_sorted_order():
     d = PersistenceDiagram(pairs)
     assert d.pairs == [pairs[4], pairs[2], pairs[1], pairs[3], pairs[0]]
     assert list(d) == d.pairs
+
+
+def test_diagrams_compare_as_multisets_of_triples():
+    # simplices and listing order do not matter; multiplicity does
+    one = PersistencePair(0, 0.0, 1.0, (1,), (0, 1))
+    essential = PersistencePair(0, 0.0, math.inf, (0,))
+    d = PersistenceDiagram([one, essential])
+    same = PersistenceDiagram([PersistencePair(0, 0.0, math.inf), PersistencePair(0, 0.0, 1.0)])
+    twice = PersistenceDiagram([one, one, essential])
+    assert d == same and diagram_equal(d, same)
+    assert d != twice and not diagram_equal(d, twice)
+    assert d != PersistenceDiagram([one])
+    assert d != d.pairs and d.__eq__(d.pairs) is NotImplemented
 
 
 def _documented(q):

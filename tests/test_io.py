@@ -50,6 +50,15 @@ def test_read_points_ragged_rejected(tmp_path):
     assert err.value.line == 2
 
 
+def test_read_points_bad_coordinate_rejected(tmp_path):
+    path = tmp_path / "pts.txt"
+    path.write_text("# cloud\n1.0 2.0\n0.0 abc\n")
+    with pytest.raises(ParseError, match="bad coordinate") as err:
+        read_points(path)
+    assert err.value.line == 3
+    assert f"{path}:3" in str(err.value)
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_read_points_non_finite_rejected(tmp_path, bad):
     path = tmp_path / "pts.txt"

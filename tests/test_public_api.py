@@ -121,3 +121,33 @@ def test_no_module_imports_a_private_name():
         if (names := _private_imports(path))
     }
     assert not found, found
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """The camph modules that the module at ``path`` imports, by their
+    names under the package: ``from .x import y`` gives ``x`` and ``x.y``."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.removeprefix("camph.") for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "camph"
+        ):
+            module = (node.module or "").removeprefix("camph").lstrip(".")
+            names.add(module)
+            names |= {f"{module}.{a.name}".lstrip(".") for a in node.names}
+    return names
+
+
+def test_run_statistics_live_with_the_engine_and_the_formats():
+    # the engine samples its own RunStats and io writes them; no stats
+    # module stands between
+    assert camph.RunStats.__module__ == "camph.engine"
+    assert camph.format_stats.__module__ == "camph.io"
+    importers = [
+        path.name
+        for path in (ROOT / "src" / "camph").glob("*.py")
+        if "stats" in _imported_modules(path)
+    ]
+    assert not importers, importers
+    assert not (ROOT / "src" / "camph" / "stats.py").exists()

@@ -76,6 +76,22 @@ def test_insert_after_finalize_rejected():
         c.insert_simplex([9], 0.0)
 
 
+def test_finalize_again_is_a_no_op():
+    c = full_triangle()
+    views = (c.simplex_of, c.value_of, c.dim_of, c.faces_of)
+    c.finalize()
+    assert c.finalized
+    for before, after in zip(views, (c.simplex_of, c.value_of, c.dim_of, c.faces_of)):
+        assert after is before
+
+
+def test_filtration_order_before_finalize_rejected():
+    t = SimplexTree()
+    t.insert_simplex([0], 0.0)
+    with pytest.raises(RuntimeError, match="requires a finalized complex"):
+        t.filtration_order()
+
+
 def test_boundary_signs():
     c = full_triangle()
     assert c.boundary((0, 1, 2)) == [((1, 2), 1), ((0, 2), -1), ((0, 1), 1)]

@@ -4,8 +4,8 @@ from collections import Counter
 from pathlib import Path
 
 from camph import (
-    CompressedAnnotationMatrix,
     EngineOptions,
+    PersistenceEngine,
     PrimeField,
     RunStats,
     SimplexTree,
@@ -14,7 +14,6 @@ from camph import (
     format_stats,
 )
 from camph.field import OpCountingField
-from camph.stats import sample
 
 from tests.fixtures import canned_complexes, full_triangle, random_rips_corpus
 
@@ -148,10 +147,10 @@ def test_full_triangle_lazy_hand_trace():
 def test_transient_class_counted_in_its_dimension():
     # dimension 0 holds one stored class; a transient class in dimension 1
     # counts as one row, one distinct column and one nonzero there
-    below, middle = CompressedAnnotationMatrix(F2), CompressedAnnotationMatrix(F2)
-    below.create_cocycle("a", 0)
-    stats = RunStats()
-    sample(stats, [below, middle], top_rows=0, transient=1)
-    sample(stats, [below, middle], top_rows=0)
+    engine = PersistenceEngine(full_triangle(), F2, STANDARD_STATS)
+    engine.insert((0,))
+    engine._sample(transient=1)
+    engine._sample()
+    stats = engine.stats()
     assert (stats.g_max_total, stats.s_max_total, stats.matrix_nonzeros_peak) == (2, 2, 2)
     assert stats.g_max_by_dim == stats.s_max_by_dim == {0: 1, 1: 1, 2: 0}
