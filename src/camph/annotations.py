@@ -40,7 +40,9 @@ annotation-matrix analogue of Ripser's apparent pairs (Bauer, arXiv
 1908.02518). It charges the field exactly what the create, the sum and
 the kill would have, so field operation counts are those of the unfolded
 algorithm, and the matrix's live rows, distinct columns and nonzeros
-after it are too.
+after it are too. Its most common case is s = 0, every other slot already
+on the zero column: one set intersection with the zero column's slot list
+finds it, and the slot joins that list with no sum.
 """
 from __future__ import annotations
 
@@ -183,14 +185,25 @@ class CompressedAnnotationMatrix:
         full ``signed_sum`` and that kill would have charged: the sum of the
         others, 1 for negating the unit term at an odd position, 3 for the
         kill's negation, division and shared-row addition, and |s| + 1
-        multiplications when -1/c != 1. Returns True; otherwise (some row of
-        s is above ``row``) returns False and changes and charges nothing.
-        Raises UnassignedSlot, with no change, if another slot has no
-        annotation.
+        multiplications when -1/c != 1. When every other slot holds the zero
+        column, s = 0 without a sum: ``slot`` joins the zero column for 3
+        operations over Z_2 at an even position and 4 otherwise. Returns
+        True; otherwise (some row of s is above ``row``) returns False and
+        changes and charges nothing. Raises UnassignedSlot, with no change,
+        if another slot has no annotation.
         """
         self._check_free(slot)
         if row in self._rows:
             raise InvariantViolation(f"row {row} is live")
+        # ``slot`` is free, so when all but one of ``slots`` are in the zero
+        # column's slot set, every other slot holds the zero column (a slot
+        # listed twice only sends the test on to the sum)
+        if len(self._zero.slots.intersection(slots)) == len(slots) - 1:
+            self._field.charge(
+                3 if self._field.p == 2 and not slots.index(slot) % 2 else 4
+            )
+            self._assign(slot, ())
+            return True
         vec, ops = self._sum(slots, slot)
         if vec and vec[0][-1] > row:
             return False

@@ -2,8 +2,9 @@
 
 Reads a point cloud or an explicit filtration, runs the engine, writes
 the diagram (file or stdout). Exit codes: 0 success, 1 bad input, a bad
-command line or an unwritable output file, 2 internal error raised by
-the engine, 3 engine/oracle mismatch under --oracle.
+command line or an unwritable output file, 2 internal error (raised by
+the engine, or a failed internal check while loading), 3 engine/oracle
+mismatch under --oracle.
 """
 from __future__ import annotations
 
@@ -124,6 +125,10 @@ def run(args: argparse.Namespace) -> int:
     except _INPUT_ERRORS as exc:
         _fail(f"{type(exc).__name__}: {exc}")
         return EXIT_INPUT
+    except CamphError as exc:
+        # a failed check of the reader's own, not a fault of the input
+        _fail(f"internal {type(exc).__name__}: {exc}")
+        return EXIT_INTERNAL
     options = EngineOptions(
         lazy=args.lazy,
         reorder=args.reorder,

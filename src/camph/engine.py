@@ -40,11 +40,13 @@ that the coface kills at once, touching only sigma's unit column, which
 the kill leaves as -c * s for sigma's sign c in the boundary. The matrix
 assigns sigma that column without creating row r, and (sigma, coface) is
 paired directly. This is the annotation-matrix analogue of Ripser's
-apparent pairs (Bauer, arXiv 1908.02518). The field is charged what the
-unfolded create, sum and kill would have charged, and the run statistics
-count sigma's class at the moment its creation would have stored it, so
-``G_m``, ``S_m``, nonzeros and field operations are those of the unfolded
-algorithm.
+apparent pairs (Bauer, arXiv 1908.02518). Most often s is zero because
+every other face already holds the zero column; the matrix tells this
+from its zero column's slot list and sums nothing. The field is charged
+what the unfolded create, sum and kill would have charged, and the run
+statistics count sigma's class at the moment its creation would have
+stored it, so ``G_m``, ``S_m``, nonzeros and field operations are those
+of the unfolded algorithm.
 
 Under ``EngineOptions.record_stats`` the engine samples its matrices into
 its own ``RunStats`` (``_sample``): after each insertion that changes them,
@@ -170,8 +172,9 @@ class PersistenceEngine:
         anything: it is rejected if it is already in, or if one of its
         faces is neither in nor marked. Only then does it take the next row
         and force its marked faces in, oldest row first; one pass over the
-        faces finds that most simplices have every face in. The face with
-        the youngest row r is held back: if the signed sum of the other
+        faces finds that most simplices have every face in, and most others
+        just one marked face, which needs no sort. The face with the
+        youngest row r is held back: if the signed sum of the other
         faces is zero or lies below r, that face is folded into the
         simplex, which then goes in as its killer (see ``_fold``), and only
         otherwise is it forced too. A zero boundary sum then marks the
@@ -193,14 +196,19 @@ class PersistenceEngine:
                 f"simplex {self._simplex_of[key]} was already inserted"
             )
         faces = self._faces_of[key]
-        deferred = None
+        youngest = None
+        deferred = ()
         for face in faces:
             if not inserted[face]:
+                if youngest is None and face in marked:
+                    youngest = face
+                    continue
+                # a second face that is not in, or one that is not marked
                 deferred = self._marked_faces(key, faces)
+                youngest = deferred.pop()
                 break
         row = next(self._arrivals)
-        if deferred:
-            youngest = deferred.pop()
+        if youngest is not None:
             for face in deferred:
                 # through lazy_evaluation, so wrappers see every forced face
                 self.lazy_evaluation(self._simplex_of[face])

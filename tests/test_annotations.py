@@ -768,6 +768,9 @@ def test_merged_pairs_move_a_slot_twice(p):
 # the list and kills with the sum when the sum's top row is that row.
 
 FOLD_OUTCOMES = (True, False)
+# where the new slot sits when every other slot holds the zero column: the
+# fold then sums nothing, and its Z_2 charge depends on the parity
+ZERO_SUM_POSITIONS = ("even", "odd")
 
 
 def _fold_programs(p):
@@ -801,16 +804,19 @@ def _state(m, slots):
     )
 
 
-def _run_fold(p, fold_program) -> bool:
+def _run_fold(p, fold_program) -> tuple[bool, str | None]:
     """Fold on one matrix, create + signed_sum + kill on its twin; both
     must agree with each other and with the dense model. Returns whether
-    the fold applied."""
+    the fold applied, and the parity of the new slot's position when every
+    other slot held the zero annotation (None otherwise)."""
     program, reserve_at, picks, position = fold_program
     m, field, model, row = _replay(p, program, reserve_at)
     twin, twin_field, _, _ = _replay(p, program, reserve_at)
     new = len(model)
     faces = [i % new for i in picks]
-    faces.insert(position % (len(faces) + 1), new)
+    at = position % (len(faces) + 1)
+    faces.insert(at, new)
+    zero_sum = all(not model[slot] for slot in faces if slot != new)
     before, ops = _state(m, range(new)), field.ops
     folded = m.fold(new, row, faces)
     twin_ops = twin_field.ops
@@ -834,7 +840,7 @@ def _run_fold(p, fold_program) -> bool:
         assert m.find_annotation(slot) == _vector(model[slot]), slot
     m.check_invariants()
     twin.check_invariants()
-    return folded
+    return folded, ZERO_SUM_POSITIONS[at % 2] if zero_sum else None
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -854,7 +860,20 @@ def test_fold_programs_reach_both_outcomes(p, outcome):
     # if none of 500 draws gives this outcome
     find(
         _fold_programs(p),
-        lambda fold_program: _run_fold(p, fold_program) == outcome,
+        lambda fold_program: _run_fold(p, fold_program)[0] == outcome,
+        settings=settings(max_examples=500, phases=[Phase.generate], database=None),
+    )
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("position", ZERO_SUM_POSITIONS)
+def test_fold_programs_reach_zero_sums(p, position):
+    # the drawn programs fold a slot whose other slots all hold the zero
+    # annotation, at both parities, so test_fold_matches_create_sum_kill
+    # compares that case against create + signed_sum + kill too
+    find(
+        _fold_programs(p),
+        lambda fold_program: _run_fold(p, fold_program) == (True, position),
         settings=settings(max_examples=500, phases=[Phase.generate], database=None),
     )
 
@@ -887,3 +906,41 @@ def test_fold_checks_its_slot_row_and_other_slots():
     assert m.find_annotation("d") == vec((0, 10))
     assert field.ops == 4 + 3 + 2
     assert (m.live_row_count, m.distinct_column_count, m.nonzero_count) == (1, 2, 2)
+    # every other slot holds the zero column: s = 0, so the slot gets the
+    # zero column, charged the create + sum + kill's 4 over Z_11 at either
+    # parity (the kill's 3, plus a negation of the unit term at an odd
+    # position or a multiplication by -1/c = 10 at an even one)
+    m.assign_zero("y")
+    shape = (m.live_row_count, m.distinct_column_count, m.nonzero_count)
+    for slot, slots in (("e", ["e", "z", "y"]), ("f", ["z", "f", "y"])):
+        before = field.ops
+        assert m.fold(slot, 3, slots)
+        assert field.ops - before == 4
+        assert m.find_annotation(slot) == ()
+        assert (m.live_row_count, m.distinct_column_count, m.nonzero_count) == shape
+    # with the others zero, an assigned slot, a live row and another slot
+    # with no annotation still raise, with no charge and no change
+    before = field.ops
+    with pytest.raises(SlotAlreadyAssigned):
+        m.fold("a", 4, ["a", "z"])
+    with pytest.raises(InvariantViolation):
+        m.fold("g", 0, ["g", "z"])
+    with pytest.raises(UnassignedSlot):
+        m.fold("g", 4, ["z", "g", "ghost"])
+    assert field.ops == before
+    assert m.find_annotation("a") == vec((0, 1))
+    with pytest.raises(UnassignedSlot):
+        m.find_annotation("g")
+    assert (m.live_row_count, m.distinct_column_count, m.nonzero_count) == shape
+    # over Z_2 the zero-sum fold charges 3 at an even position, where nothing
+    # is negated or scaled, and 4 at an odd one
+    field = OpCountingField(2)
+    m = CompressedAnnotationMatrix(field, debug=True)
+    m.create_cocycle("a", 0)
+    m.assign_zero("z")
+    for slot, slots, ops in (("b", ["b", "z"], 3), ("c", ["z", "c", "b"], 4)):
+        before = field.ops
+        assert m.fold(slot, 1, slots)
+        assert field.ops - before == ops
+        assert m.find_annotation(slot) == ()
+    assert (m.live_row_count, m.distinct_column_count, m.nonzero_count) == (1, 1, 1)

@@ -265,6 +265,31 @@ def test_engine_error_exits_2(tmp_path, capsys, monkeypatch, error):
     assert not out.exists()
 
 
+def test_reader_check_failure_exits_2(tmp_path, capsys, monkeypatch):
+    # a columnar check that fails on a file whose every line is valid is a
+    # bug of the reader, not bad input
+    import camph.io as io_module
+
+    monkeypatch.setattr(io_module, "_group_records", lambda columns, ids: None)
+    flt = tmp_path / "three.flt"
+    flt.write_text("0.0 0\n0.0 1\n1.0 0 1\n", encoding="utf-8")
+    out = tmp_path / "three.dgm"
+    code = run_cli(
+        "--input", str(flt),
+        "--format", "filtration",
+        "--field", "2",
+        "--output", str(out),
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"camph: error: internal InvariantViolation: {flt}: "
+        "a check failed, but no line is faulty"
+    ]
+    assert not out.exists()
+
+
 def test_unwritable_output_exits_1(tmp_path, capsys):
     out = tmp_path / "missing" / "tri.dgm"
     code = run_cli(
