@@ -95,7 +95,7 @@ def build_rips(points, max_edge_length: float, max_dim: int) -> SimplexTree:
     without comparing vertex tuples.
     The cyclic garbage collector is left running: pausing it here only
     defers its first pass over the new simplices to the caller's next
-    allocations, which then pay for it.
+    allocations, which then pay for it. The build leaves it no cycle.
     """
     if not max_edge_length >= 0:
         raise ValueError(
@@ -143,6 +143,8 @@ def build_rips(points, max_edge_length: float, max_dim: int) -> SimplexTree:
 
     for v, links in enumerate(near):
         expand((v,), list(links.items()), 0.0)
+    # expand holds itself through its cell: unlink it so near is freed on return
+    del expand
     # Squared distances overflow to inf only for coordinates near the float
     # limit, and such an edge is in reach only when max_edge_length is inf.
     if math.inf in values.values():

@@ -100,6 +100,9 @@ def _walk(complex, lo: int, hi: int) -> list[int]:
     for key in range(lo, hi):
         if key not in up_seen:
             climb(key)
+    # each recursive closure holds itself through its cell: unlink them so
+    # the block's state is freed on return, not by the cyclic collector
+    del climb, descend
     return out
 
 
