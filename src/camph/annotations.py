@@ -186,11 +186,11 @@ class CompressedAnnotationMatrix:
         others, 1 for negating the unit term at an odd position, 3 for the
         kill's negation, division and shared-row addition, and |s| + 1
         multiplications when -1/c != 1. When every other slot holds the zero
-        column, s = 0 without a sum: ``slot`` joins the zero column for 3
-        operations over Z_2 at an even position and 4 otherwise. Returns
-        True; otherwise (some row of s is above ``row``) returns False and
-        changes and charges nothing. Raises UnassignedSlot, with no change,
-        if another slot has no annotation.
+        column, a set test finds s = 0 with no sum, and ``slot`` joins the
+        zero column under the same charge. Returns True; otherwise (some row
+        of s is above ``row``) returns False and changes and charges
+        nothing. Raises UnassignedSlot, with no change, if another slot has
+        no annotation.
         """
         self._check_free(slot)
         if row in self._rows:
@@ -199,23 +199,19 @@ class CompressedAnnotationMatrix:
         # column's slot set, every other slot holds the zero column (a slot
         # listed twice only sends the test on to the sum)
         if len(self._zero.slots.intersection(slots)) == len(slots) - 1:
-            self._field.charge(
-                3 if self._field.p == 2 and not slots.index(slot) % 2 else 4
-            )
-            self._assign(slot, ())
-            return True
-        vec, ops = self._sum(slots, slot)
-        if vec and vec[0][-1] > row:
-            return False
-        p = self._field.p
-        if slots.index(slot) % 2:
-            # c = -1: the unit term was negated, and -1/c = 1 scales nothing
-            ops += 4
-        elif p == 2:
-            ops += 3  # -1/c = 1 again, and -s = s
+            vec, ops = (), 0
         else:
+            vec, ops = self._sum(slots, slot)
+            if vec and vec[0][-1] > row:
+                return False
+        p = self._field.p
+        if p == 2:
+            # -1/c = 1 scales nothing and -s = s; c = -1 negates the unit term
+            ops += 4 if slots.index(slot) % 2 else 3
+        else:
+            # c = -1 negates the unit term; c = 1 scales it and s by -1/c = -1
             ops += 4
-            if vec:
+            if vec and not slots.index(slot) % 2:
                 rows, coeffs = vec
                 ops += len(rows)
                 vec = (rows, tuple([p - c for c in coeffs]))
@@ -359,9 +355,7 @@ class CompressedAnnotationMatrix:
             if column.key:
                 terms.append((j, column.key))
         p = self._field.p
-        if len(terms) < 2:
-            if not terms:
-                return (), 0
+        if len(terms) == 1:
             j, vec = terms[0]
             if j % 2 == 0:
                 return vec, 0

@@ -1,4 +1,5 @@
 import math
+import random
 from collections import Counter
 from itertools import count
 
@@ -269,7 +270,7 @@ def test_kill_updates_multi_entry_column_z2():
     assert m.live_row_count == 1
 
 
-def test_forward_chain_followed_and_compressed():
+def test_merged_columns_point_every_slot_at_one_column():
     # with no lookup between the kills, b's column merges into a's, and the
     # merged column then takes in x's and w's slots: every slot points
     # straight at the one stored column
@@ -685,11 +686,14 @@ def test_kill_matches_dense_model(p):
 @pytest.mark.parametrize("path", PATHS)
 def test_kill_programs_reach_every_update_path(p, path):
     # the drawn programs do exercise each branch of the column update;
-    # find raises NoSuchExample if none of 500 draws reaches this one
+    # find raises NoSuchExample if none of 500 draws reaches this one. The
+    # draws are seeded, so whether they reach it does not change from run
+    # to run on the same code
     find(
         _programs(p),
         lambda program: path in _run_program(p, program)[0],
         settings=settings(max_examples=500, phases=[Phase.generate], database=None),
+        random=random.Random(0),
     )
 
 
@@ -715,7 +719,7 @@ def test_folding_program_reaches_a_four_link_chain(p):
 
 
 @pytest.mark.parametrize("p", PRIMES)
-def test_signed_sum_follows_and_compresses_forwards(p):
+def test_signed_sum_over_merged_columns_moves_no_slot(p):
     # after the folding program's four merges, with no lookup between them,
     # slots 0-4 point straight at one stored column; signed_sum reads the
     # slot map and, like find_annotation, changes no slot or slot set
@@ -857,11 +861,12 @@ def test_fold_matches_create_sum_kill(p):
 @pytest.mark.parametrize("outcome", FOLD_OUTCOMES)
 def test_fold_programs_reach_both_outcomes(p, outcome):
     # the drawn programs both fold and decline; find raises NoSuchExample
-    # if none of 500 draws gives this outcome
+    # if none of 500 seeded draws gives this outcome
     find(
         _fold_programs(p),
         lambda fold_program: _run_fold(p, fold_program)[0] == outcome,
         settings=settings(max_examples=500, phases=[Phase.generate], database=None),
+        random=random.Random(0),
     )
 
 
@@ -870,11 +875,13 @@ def test_fold_programs_reach_both_outcomes(p, outcome):
 def test_fold_programs_reach_zero_sums(p, position):
     # the drawn programs fold a slot whose other slots all hold the zero
     # annotation, at both parities, so test_fold_matches_create_sum_kill
-    # compares that case against create + signed_sum + kill too
+    # compares that case against create + signed_sum + kill too (500
+    # seeded draws)
     find(
         _fold_programs(p),
         lambda fold_program: _run_fold(p, fold_program) == (True, position),
         settings=settings(max_examples=500, phases=[Phase.generate], database=None),
+        random=random.Random(0),
     )
 
 
@@ -909,10 +916,12 @@ def test_fold_checks_its_slot_row_and_other_slots():
     # every other slot holds the zero column: s = 0, so the slot gets the
     # zero column, charged the create + sum + kill's 4 over Z_11 at either
     # parity (the kill's 3, plus a negation of the unit term at an odd
-    # position or a multiplication by -1/c = 10 at an even one)
+    # position or a multiplication by -1/c = 10 at an even one). With z
+    # listed twice the zero-set test fails, and the sum finds no nonzero term
     m.assign_zero("y")
     shape = (m.live_row_count, m.distinct_column_count, m.nonzero_count)
-    for slot, slots in (("e", ["e", "z", "y"]), ("f", ["z", "f", "y"])):
+    zero_sums = (["e", "z", "y"], ["z", "f", "y"], ["h", "z", "z"], ["z", "i", "z"])
+    for slot, slots in zip("efhi", zero_sums):
         before = field.ops
         assert m.fold(slot, 3, slots)
         assert field.ops - before == 4
@@ -933,12 +942,13 @@ def test_fold_checks_its_slot_row_and_other_slots():
         m.find_annotation("g")
     assert (m.live_row_count, m.distinct_column_count, m.nonzero_count) == shape
     # over Z_2 the zero-sum fold charges 3 at an even position, where nothing
-    # is negated or scaled, and 4 at an odd one
+    # is negated or scaled, and 4 at an odd one, with or without a sum
     field = OpCountingField(2)
     m = CompressedAnnotationMatrix(field, debug=True)
     m.create_cocycle("a", 0)
     m.assign_zero("z")
-    for slot, slots, ops in (("b", ["b", "z"], 3), ("c", ["z", "c", "b"], 4)):
+    zero_sums = (["b", "z"], ["z", "c", "b"], ["d", "z", "z"], ["z", "e", "z"])
+    for slot, slots, ops in zip("bcde", zero_sums, (3, 4, 3, 4)):
         before = field.ops
         assert m.fold(slot, 1, slots)
         assert field.ops - before == ops
