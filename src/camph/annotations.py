@@ -24,6 +24,10 @@ A signed boundary sum over slots of the zero column is () at once. Any
 other sum reads each face's column straight from the slot map, and a sum
 with at most one nonzero term is that term, negated at an odd position,
 with no accumulation: on flag complexes most face annotations are zero.
+Equal vectors share one column, so a sum whose two nonzero terms are one
+column at positions of opposite parity is () with no accumulation either,
+charged two operations per row of that column: on flag complexes most
+other sums are a triangle whose two nonzero edges carry one cocycle.
 
 Destroying a cocycle with boundary annotation a_bd costs one modular
 inverse, then O(|column| + |a_bd|) per touched column: one merge pass over
@@ -155,13 +159,14 @@ class CompressedAnnotationMatrix:
         The matrix does not change. A sum over slots of the zero column is
         () with no lookup. Otherwise each slot's column is read from the
         slot map directly; when at most one term is nonzero, that term,
-        negated at an odd position, is the sum, and otherwise one dict
-        accumulates the sum with inline arithmetic, so no negated copy is
-        built. Either way the field is charged what negating every odd term
-        and merge-adding the terms in order would cost: one negation per
-        entry of an odd term and one addition per row that a term shares
-        with the running sum. Raises UnassignedSlot at the first slot
-        without an annotation.
+        negated at an odd position, is the sum; when the two nonzero terms
+        are one column at positions of opposite parity, the sum is (),
+        charged 2 * |column|; and otherwise one dict accumulates the sum
+        with inline arithmetic, so no negated copy is built. Either way the
+        field is charged what negating every odd term and merge-adding the
+        terms in order would cost: one negation per entry of an odd term
+        and one addition per row that a term shares with the running sum.
+        Raises UnassignedSlot at the first slot without an annotation.
         """
         if self._zero.slots.issuperset(slots):
             return ()
@@ -361,6 +366,12 @@ class CompressedAnnotationMatrix:
                 return vec, 0
             rows, coeffs = vec
             return (rows, tuple([p - c for c in coeffs])), len(rows)
+        if len(terms) == 2:
+            # equal vectors share one column, so one key at opposite parities
+            # cancels: one negation and one addition per row
+            (i, u), (j, v) = terms
+            if u is v and (i + j) % 2:
+                return (), 2 * len(u[0])
         acc: dict[int, int] = {}
         ops = 0
         for j, (rows, coeffs) in terms:

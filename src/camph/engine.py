@@ -5,11 +5,12 @@ one dimension down returns the signed sum of its boundary faces'
 annotations (signs collapse over Z_2 but the code path is field-generic);
 the engine only tests whether the sum vanishes and hands it back to the
 matrix, which answers a sum whose faces all hold its zero column with no
-lookup. A vanishing sum starts a fresh cocycle class in the simplex's
-dimension, a nonvanishing sum destroys the youngest class contributing to
-it one dimension below and pairs that class's creator with the new
-simplex. Live classes at the end become essential pairs, listed per
-dimension in key order, which is the diagram's order for them.
+lookup, and one whose only two nonzero faces hold one column at opposite
+signs with no accumulation. A vanishing sum starts a fresh cocycle class
+in the simplex's dimension, a nonvanishing sum destroys the youngest class
+contributing to it one dimension below and pairs that class's creator
+with the new simplex. Live classes at the end become essential pairs,
+listed per dimension in key order, which is the diagram's order for them.
 
 Annotations exist only to answer later boundary sums, and no simplex of
 the complex's top dimension is a face of anything, so that dimension gets

@@ -739,15 +739,74 @@ def test_signed_sum_over_merged_columns_moves_no_slot(p):
     assert column.slots == {0, 1, 2, 3, 4}
     assert all(m._slots[slot] is column for slot in range(5))
     state = _slot_state(m)
-    # many terms, one term at an odd position, one at an even one, none
-    for slots in ([4, 5, 2, 6, 3], [6, 4], [3, 6], [6, 6]):
+    # many terms, one term at an odd position, one at an even one, none;
+    # then two slots of the one column at opposite positions, alone and
+    # after a zero face as in a Rips triangle, which cancel with no
+    # accumulation, and at equal parity, which the accumulation doubles
+    cases = ([4, 5, 2, 6, 3], [6, 4], [3, 6], [6, 6], [4, 3], [6, 4, 3], [4, 6, 3])
+    for slots in cases:
         expected, ops = _model_signed_sum([model[i] for i in slots], p)
         before = field.ops
         assert m.signed_sum(slots) == expected, slots
         assert field.ops - before == ops, slots
+    assert m.signed_sum([4, 3]) == m.signed_sum([6, 4, 3]) == ()
+    doubled = () if p == 2 else (column.key[0], tuple(2 * c % p for c in column.key[1]))
+    assert m.signed_sum([4, 6, 3]) == doubled
     for slot, x in model.items():
         assert m.find_annotation(slot) == _vector(x), slot
     assert _slot_state(m) == state
+
+
+def _sharing(p):
+    """An audited matrix whose slots "a" and "b" hold one stored column of
+    three rows, merged by a kill, and whose slot "z" holds the zero column,
+    with the dense model of those three slots. Slots 0-7 hold the unit
+    columns of rows 0-7."""
+    field = OpCountingField(p)
+    m = CompressedAnnotationMatrix(field, debug=True)
+    v = vec((0, 1), (3, p - 1), (7, 1))
+    for row in range(8):
+        m.create_cocycle(row, row)
+    for row, slot in ((8, "a"), (9, "b")):
+        # v + (row, -1) kills row with lambda = 1, leaving exactly v
+        m.create_cocycle(slot, row)
+        m.kill_cocycle(vec(*zip(*v), (row, p - 1)))
+    m.assign_zero("z")
+    model = {"a": _dense(v), "b": _dense(v), "z": {}}
+    assert m._slots["a"] is m._slots["b"] and len(m._slots["a"].key[0]) == 3
+    return m, field, model
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_cancelling_pair_is_charged_its_column_length(p):
+    # the two faces of one three-row column cancel at opposite positions for
+    # one negation and one addition per row, 6 ops: neither 2 nor 3
+    m, field, model = _sharing(p)
+    state = _slot_state(m)
+    for slots in (["a", "b"], ["b", "a"], ["z", "a", "b"], ["a", "z", "z", "b"]):
+        expected, ops = _model_signed_sum([model[i] for i in slots], p)
+        before = field.ops
+        assert m.signed_sum(slots) == expected == (), slots
+        assert field.ops - before == ops == 6, slots
+    assert _slot_state(m) == state
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("faces", (["a", "b", "n"], ["n", "z", "a", "b"], ["a", "n", "b"]))
+def test_fold_over_a_cancelling_pair_matches_create_sum_kill(p, faces):
+    # the other faces of "n" cancel on one column (or, at equal parity, sum
+    # to twice it), so the fold is charged what creating "n" on row 10,
+    # summing and killing would charge, and leaves the same matrix
+    m, field, _ = _sharing(p)
+    twin, twin_field, _ = _sharing(p)
+    before, twin_before = field.ops, twin_field.ops
+    assert m.fold("n", 10, faces)
+    twin.create_cocycle("n", 10)
+    a_bd = twin.signed_sum(faces)
+    assert twin.kill_cocycle(a_bd) == 10
+    assert field.ops - before == twin_field.ops - twin_before
+    slots = ["n", "a", "b", "z", *range(8)]
+    assert _state(m, slots) == _state(twin, slots)
 
 
 @pytest.mark.parametrize("p", PRIMES)
