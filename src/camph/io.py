@@ -175,17 +175,23 @@ def format_diagram(diagram: PersistenceDiagram) -> str:
     Each value is written as ``repr(float(value))``, computed once per run
     of equal values in its column: the pairs are sorted, so equal births
     of one dimension are adjacent, as are the ``inf`` deaths of essential
-    classes that share a birth. A zero is always written on its own,
-    because ``-0.0 == 0.0`` would let one run print both with one sign.
+    classes that share a birth. A pair that repeats the previous one's
+    dimension, birth and death reuses its whole line. A zero is always
+    written on its own, because ``-0.0 == 0.0`` would let one run print
+    both with one sign.
     """
     lines = []
-    birth_text = death_text = last_birth = last_death = None
+    line = last_dim = birth_text = death_text = last_birth = last_death = None
     for dim, birth, death, _, _ in diagram.pairs:
         if birth != last_birth or not birth:
             birth_text, last_birth = repr(float(birth)), birth
+        elif death == last_death and death and dim == last_dim:
+            lines.append(line)
+            continue
         if death != last_death or not death:
             death_text, last_death = repr(float(death)), death
-        lines.append(f"{dim} {birth_text} {death_text}")
+        line, last_dim = f"{dim} {birth_text} {death_text}", dim
+        lines.append(line)
     return "\n".join(lines) + ("\n" if lines else "")
 
 

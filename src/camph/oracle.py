@@ -7,8 +7,10 @@ the engine beyond the field and complex types: it reads the complex only
 through filtration_order(), boundary() and value(), never through the
 per-key views (``faces_of``, ``value_of``, ``dim_of``) that finalize()
 builds for the engine. The mod-p arithmetic is done inline, as in the
-engine, and charged to ``field.charge`` as field operations: each column
-addition counts one negation and one division, plus one product and one
+engine: the inverse of a reduced column's pivot coefficient is computed
+once, when the column is stored, and each reduction pass makes one
+``field.charge`` call with its total. That total counts, per column
+addition, one negation and one division, plus one product and one
 addition per entry of the column added.
 """
 from __future__ import annotations
@@ -22,39 +24,39 @@ from .simplex_tree import SimplexTree
 
 def _reduce_columns(complex: SimplexTree, field: PrimeField):
     order = complex.filtration_order()
-    index = {simplex: i for i, simplex in enumerate(order)}
-    reduced: dict[int, dict[int, int]] = {}
-    pivot_owner: dict[int, int] = {}  # pivot row -> owning column
+    index = dict(zip(order, range(len(order))))
+    # pivot row -> (reduced column, inverse of its pivot coefficient)
+    stored: dict[int, tuple[dict[int, int], int]] = {}
     pairs: list[tuple[int, int]] = []
     positives: list[int] = []
-    p, charge = field.p, field.charge
+    p, boundary = field.p, complex.boundary
+    ops = 0
     for j, simplex in enumerate(order):
         column: dict[int, int] = {}
         if len(simplex) > 1:
-            for face, sign in complex.boundary(simplex):
+            for face, sign in boundary(simplex):
                 column[index[face]] = 1 if sign > 0 else p - 1
         get = column.get
         while column:
             low = max(column)
-            k = pivot_owner.get(low)
-            if k is None:
+            entry = stored.get(low)
+            if entry is None:
                 break
-            other = reduced[k]
-            charge(2 + 2 * len(other))
-            lam = (p - column[low]) * pow(other[low], -1, p) % p
+            other, inverse = entry
+            ops += 2 + 2 * len(other)
+            lam = (p - column[low]) * inverse % p
             for row, coeff in other.items():
                 v = (get(row, 0) + lam * coeff) % p
                 if v:
                     column[row] = v
                 else:
                     del column[row]
-        if column:
-            low = max(column)
-            pivot_owner[low] = j
-            reduced[j] = column
+        if column:  # the loop left at an unstored pivot, so low is max(column)
+            stored[low] = (column, pow(column[low], -1, p))
             pairs.append((low, j))
         else:
             positives.append(j)
+    field.charge(ops)
     return order, pairs, positives
 
 
@@ -67,27 +69,19 @@ def reduce(
     dropped unless requested, mirroring the engine's default.
     """
     order, pairs, positives = _reduce_columns(complex, field)
+    value = complex.value
     killed = {i for i, _ in pairs}
     out = []
     for i, j in pairs:
         creator, killer = order[i], order[j]
-        pair = PersistencePair(
-            len(creator) - 1,
-            complex.value(creator),
-            complex.value(killer),
-            creator,
-            killer,
-        )
-        if emit_zero_length or pair.birth != pair.death:
-            out.append(pair)
+        birth, death = value(creator), value(killer)
+        if emit_zero_length or birth != death:
+            out.append(PersistencePair(len(creator) - 1, birth, death, creator, killer))
     for j in positives:
         if j not in killed:
             simplex = order[j]
-            out.append(
-                PersistencePair(
-                    len(simplex) - 1, complex.value(simplex), math.inf, simplex, None
-                )
-            )
+            dim = len(simplex) - 1
+            out.append(PersistencePair(dim, value(simplex), math.inf, simplex, None))
     return PersistenceDiagram(out)
 
 

@@ -183,6 +183,15 @@ class SimplexTree:
         return len(self._values)
 
     def value(self, simplex: Iterable[int]) -> float:
+        """The simplex's filtration value.
+
+        A canonical vertex tuple is looked up as it is, as in key(); any
+        other vertex collection is sorted first.
+        """
+        if type(simplex) is tuple:
+            value = self._values.get(simplex)
+            if value is not None:
+                return value
         verts = tuple(sorted(simplex))
         value = self._values.get(verts)
         if value is None:
@@ -193,11 +202,15 @@ class SimplexTree:
         """Codimension-1 faces with alternating signs.
 
         Omitting vertex j contributes sign (-1)**j; vertices have an
-        empty boundary.
+        empty boundary. A canonical vertex tuple skips the sort, as in
+        value().
         """
-        verts = tuple(sorted(simplex))
-        if verts not in self._values:
-            raise UnknownSimplex(f"simplex {verts} is not in the complex")
+        if type(simplex) is tuple and simplex in self._values:
+            verts = simplex
+        else:
+            verts = tuple(sorted(simplex))
+            if verts not in self._values:
+                raise UnknownSimplex(f"simplex {verts} is not in the complex")
         if len(verts) == 1:
             return []
         return [

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from camph import (
@@ -192,6 +192,26 @@ def test_signed_zeros_keep_their_sign(tmp_path):
     assert format_diagram(d) == (
         "0 -0.0 0.0\n1 0.0 -0.0\n1 0.0 inf\n1 1.0 2.5\n1 1.0 2.5\n"
     )
+
+
+def _format_each_pair(diagram: PersistenceDiagram) -> str:
+    lines = [f"{dim} {float(b)!r} {float(d)!r}" for dim, b, d, _, _ in diagram.pairs]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+_FORMAT_VALUES = st.sampled_from([0, 0.0, -0.0, 1, 1.0, 2.5, -1.5, math.inf])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2), _FORMAT_VALUES, _FORMAT_VALUES)))
+@example([(0, 1, 2.5), (0, 1.0, 2.5), (1, 1, 2.5), (1, 1, 2.5)])
+@example([(0, 0.0, -0.0), (0, -0.0, 0.0), (0, 0, 0), (1, -0.0, -0.0)])
+@example([(0, 1.0, math.inf), (0, 1, math.inf), (1, 1.0, math.inf), (2, 1.0, math.inf)])
+def test_format_matches_one_string_per_pair(triples):
+    # runs of equal values, and repeated lines, reuse earlier text; the
+    # bytes must be those of formatting every pair on its own
+    diagram = PersistenceDiagram([PersistencePair(*triple) for triple in triples])
+    assert format_diagram(diagram) == _format_each_pair(diagram)
 
 
 def test_comments_and_blank_lines_skipped(tmp_path):

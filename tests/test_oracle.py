@@ -1,10 +1,21 @@
 import json
+import math
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
 
-from camph import PrimeField, SimplexTree, betti_profile, oracle_reduce
+from camph import (
+    PersistenceDiagram,
+    PersistencePair,
+    PrimeField,
+    SimplexTree,
+    betti_profile,
+    oracle,
+    oracle_reduce,
+)
 from camph.field import OpCountingField
 
 from tests.fixtures import (
@@ -16,6 +27,7 @@ from tests.fixtures import (
     tetra_boundary,
     torus_7,
 )
+from tests.test_properties import PRIMES, closed_filtrations, tree_of
 
 DATA = Path(__file__).parent / "data"
 F2 = PrimeField(2)
@@ -138,3 +150,90 @@ def test_ignores_the_engine_views(p):
     for good, bad in zip(intact, corrupt):
         assert oracle_reduce(bad, field).pairs == oracle_reduce(good, field).pairs
         assert betti_profile(bad, field) == betti_profile(good, field)
+
+
+def _model_reduce_columns(complex, field):
+    # the reduction with one inverse and one charge per column addition,
+    # and pivot owners and reduced columns in two dicts
+    order = complex.filtration_order()
+    index = {simplex: i for i, simplex in enumerate(order)}
+    reduced = {}
+    pivot_owner = {}
+    pairs = []
+    positives = []
+    p, charge = field.p, field.charge
+    for j, simplex in enumerate(order):
+        column = {}
+        if len(simplex) > 1:
+            for face, sign in complex.boundary(simplex):
+                column[index[face]] = 1 if sign > 0 else p - 1
+        get = column.get
+        while column:
+            low = max(column)
+            k = pivot_owner.get(low)
+            if k is None:
+                break
+            other = reduced[k]
+            charge(2 + 2 * len(other))
+            lam = (p - column[low]) * pow(other[low], -1, p) % p
+            for row, coeff in other.items():
+                v = (get(row, 0) + lam * coeff) % p
+                if v:
+                    column[row] = v
+                else:
+                    del column[row]
+        if column:
+            low = max(column)
+            pivot_owner[low] = j
+            reduced[j] = column
+            pairs.append((low, j))
+        else:
+            positives.append(j)
+    return order, pairs, positives
+
+
+def _model_reduce(complex, field, emit_zero_length):
+    order, pairs, positives = _model_reduce_columns(complex, field)
+    killed = {i for i, _ in pairs}
+    out = []
+    for i, j in pairs:
+        creator, killer = order[i], order[j]
+        pair = PersistencePair(
+            len(creator) - 1,
+            complex.value(creator),
+            complex.value(killer),
+            creator,
+            killer,
+        )
+        if emit_zero_length or pair.birth != pair.death:
+            out.append(pair)
+    for j in positives:
+        if j not in killed:
+            simplex = order[j]
+            out.append(
+                PersistencePair(
+                    len(simplex) - 1, complex.value(simplex), math.inf, simplex, None
+                )
+            )
+    return PersistenceDiagram(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(closed_filtrations())
+def test_matches_the_per_addition_model(values):
+    # caching each stored pivot's inverse and charging once per pass must
+    # leave every pair, creator, killer, op count and Betti number as the
+    # per-addition reduction gives them
+    tree = tree_of(values)
+    for p in PRIMES:
+        for emit_zero_length in (False, True):
+            field, model_field = OpCountingField(p), OpCountingField(p)
+            got = oracle_reduce(tree, field, emit_zero_length=emit_zero_length)
+            want = _model_reduce(tree, model_field, emit_zero_length)
+            assert got.pairs == want.pairs, (p, emit_zero_length)
+            assert field.ops == model_field.ops, (p, emit_zero_length)
+        field, model_field = OpCountingField(p), OpCountingField(p)
+        profile = betti_profile(tree, field)
+        with mock.patch.object(oracle, "_reduce_columns", _model_reduce_columns):
+            assert profile == betti_profile(tree, model_field), p
+        assert field.ops == model_field.ops, p

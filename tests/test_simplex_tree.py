@@ -105,6 +105,47 @@ def test_boundary_unknown_simplex():
         c.boundary((0, 3))
 
 
+def _spellings(simplex):
+    """The one simplex as its canonical tuple, reversed, a list and a
+    generator; each call makes fresh ones, as a generator reads once."""
+    return [simplex, simplex[::-1], list(simplex), (v for v in simplex)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(closed_filtrations())
+def test_reads_agree_for_every_spelling(values):
+    # a canonical tuple skips the sort; every other spelling is sorted
+    # first, and all must read the same before and after finalize
+    tree = SimplexTree()
+    for simplex, value in values.items():
+        tree.insert_simplex(simplex, value)
+    for _ in range(2):
+        for simplex, value in values.items():
+            faces = [
+                (simplex[:j] + simplex[j + 1 :], (-1) ** j) for j in range(len(simplex))
+            ]
+            faces = faces if len(simplex) > 1 else []
+            for spelling in _spellings(simplex):
+                assert tree.value(spelling) == value
+            for spelling in _spellings(simplex):
+                assert tree.boundary(spelling) == faces
+        tree.finalize()
+
+
+def test_missing_simplex_named_sorted_by_every_read():
+    t = SimplexTree()
+    t.insert_simplex([0], 0.0)
+    t.insert_simplex([1], 0.0)
+    t.insert_simplex([0, 1], 1.0)
+    for _ in range(2):
+        for missing in ((0, 3), (3, 0), [3, 0]):
+            for read in (t.value, t.boundary):
+                with pytest.raises(UnknownSimplex) as raised:
+                    read(missing)
+                assert raised.value.args == ("simplex (0, 3) is not in the complex",)
+        t.finalize()
+
+
 def test_cofacets():
     c = full_triangle()
     assert c.cofacets((0, 1)) == [(0, 1, 2)]
